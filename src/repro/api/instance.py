@@ -103,6 +103,7 @@ class AsterixInstance:
 
     @staticmethod
     def _load_config(marker: str) -> ClusterConfig:
+        import dataclasses
         import json
 
         from repro.common.config import (
@@ -114,15 +115,23 @@ class AsterixInstance:
 
         with open(marker) as f:
             data = json.load(f)
+
+        def section(cls, name):
+            # the marker may have been written by a version whose config
+            # had options this one dropped: keep only the current fields
+            known = {f.name for f in dataclasses.fields(cls)}
+            return cls(**{k: v for k, v in data.get(name, {}).items()
+                          if k in known})
+
         return ClusterConfig(
             num_nodes=data["num_nodes"],
             partitions_per_node=data["partitions_per_node"],
             page_size=data["page_size"],
             frame_size=data["frame_size"],
-            node=NodeConfig(**data["node"]),
-            cost=CostModel(**data["cost"]),
-            executor=ExecutorConfig(**data.get("executor", {})),
-            resilience=ResilienceConfig(**data.get("resilience", {})),
+            node=section(NodeConfig, "node"),
+            cost=section(CostModel, "cost"),
+            executor=section(ExecutorConfig, "executor"),
+            resilience=section(ResilienceConfig, "resilience"),
         )
 
     def _save_config(self, marker: str) -> None:

@@ -80,39 +80,18 @@ class NodeConfig:
 class ExecutorConfig:
     """How the cluster controller runs Hyracks jobs.
 
-    ``mode`` selects between the parallel executor (the default: the
-    partitions of each stage run concurrently, one worker per node, with
-    per-node execution serialized in partition order so the simulated
-    clock and all node-local state stay deterministic) and the serial
-    fallback (same stage decomposition, executed inline — used by tests
-    that compare against the parallel executor).  ``pipelining`` streams
-    ``frame_size``-tuple frames through fused chains of streaming
-    operators instead of materializing every operator's full output;
-    turning it off reproduces the materialize-everything model.
-
-    ``compile_expressions`` makes the cluster compile every operator's
-    scalar expressions, predicates, and aggregate arguments into Python
-    closures once per job (``OperatorDescriptor.prepare``) instead of
-    interpreting expression trees per tuple.  Results, the simulated
-    clock, and per-operator tuple counts are byte-identical either way
-    (the equivalence suite asserts this); only wall-clock time differs.
-    See docs/PERFORMANCE.md.
-
-    ``batch_execution`` runs the operator hot loops over whole frames
-    instead of tuple-at-a-time: sorts compile their composite key once
-    per run and merge decorated (precomputed-key) streams, aggregates
-    evaluate their argument over the frame and fold it through
-    ``step_many``, and group-by batches key bytes through the job key
-    cache.  Same invariant as ``compile_expressions``: identical
-    results, simulated clock, and tuple counts with the toggle on or
-    off — only wall-clock time may differ.
+    Every job runs one way — stages of fused streaming operators,
+    expressions compiled once per job, frame-at-a-time sort/group/
+    aggregate loops (docs/ARCHITECTURE.md, "Job execution").  ``mode``
+    is the one deployment choice: the parallel executor (the default:
+    the partitions of each stage run concurrently, one worker per node,
+    with per-node execution serialized in partition order so the
+    simulated clock and all node-local state stay deterministic) or the
+    serial one (same stage decomposition, executed inline — the
+    determinism check the equivalence suite compares against).
     """
 
     mode: str = "parallel"            # "parallel" | "serial"
-    workers: int | None = None        # None = one worker per node
-    pipelining: bool = True
-    compile_expressions: bool = True
-    batch_execution: bool = True
 
     @property
     def parallel(self) -> bool:

@@ -474,11 +474,9 @@ class ClusterController:
         exponential backoff — up to ``config.resilience.max_job_attempts``
         attempts total."""
         job.validate()
-        if self.config.executor.compile_expressions:
-            # compile every operator's expressions into closures once per
-            # job (see docs/PERFORMANCE.md); results and the simulated
-            # clock are byte-identical with the toggle off
-            prepare_job(job, self.config)
+        # compile every operator's expressions into closures, once per
+        # job (see docs/PERFORMANCE.md)
+        prepare_job(job, self.config)
         attempt = 1
         while True:
             self.ensure_alive(span)
@@ -635,7 +633,7 @@ class ClusterController:
 
     def worker_pool(self):
         """The lazily-created node-worker pool used by the parallel
-        executor (one thread per node by default)."""
+        executor (one thread per node)."""
         if self._pool is None:
             self._pool = make_worker_pool(self.config)
         return self._pool

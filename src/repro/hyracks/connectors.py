@@ -12,9 +12,12 @@ what makes partition-property-preserving plans measurably cheaper.
 
 from __future__ import annotations
 
-from repro.adm.comparators import tuple_key
+import heapq
+
 from repro.adm.values import hash_value
 from repro.hyracks.job import ConnectorDescriptor
+from repro.hyracks.operators.sort import compile_order_key
+from repro.observability.metrics import get_registry
 
 
 class OneToOneConnector(ConnectorDescriptor):
@@ -103,30 +106,17 @@ class MergeConnector(ConnectorDescriptor):
         self.key_fields = list(key_fields)
         self.descending = list(descending or [False] * len(key_fields))
 
-    def _sort_key(self, tup):
-        # per-field descending is handled by the upstream sort; the merge
-        # connector re-sorts with the same composite key for correctness
-        return tuple(
-            tuple_key((tup[i],)) for i in self.key_fields
-        )
-
     def route(self, producer_outputs, num_consumers, ctx):
         if num_consumers != 1:
             raise ValueError("merge connector gathers to one partition")
-        import heapq
-
         for i, part in enumerate(producer_outputs):
             if i != 0:
                 ctx.charge_network(len(part))
-        # batched (the default): compile the composite key once over all
-        # partitions' tuples, so heap pushes reuse one cheap closure
-        # instead of rebuilding per-field wrappers per push; same merge
-        # order, same per-pop compare charge
-        if getattr(ctx, "batch_execution", True):
-            key = self._compiled_key(
-                [t for part in producer_outputs for t in part])
-        else:
-            key = self._key_with_order
+        # compile the composite key once over all partitions' tuples, so
+        # heap pushes reuse one cheap closure
+        key = compile_order_key(
+            self.key_fields, self.descending,
+            [t for part in producer_outputs for t in part])
         iters = [iter(part) for part in producer_outputs]
         heap = []
         pushes = 0
@@ -145,22 +135,9 @@ class MergeConnector(ConnectorDescriptor):
                 heapq.heappush(heap, (key(nxt), rank, id(nxt), nxt))
                 pushes += 1
                 break
-        if key is not self._key_with_order and pushes:
-            from repro.observability.metrics import get_registry
-
+        if pushes:
             get_registry().counter("sort.key_cache_hits").inc(pushes)
         return [merged]
-
-    def _compiled_key(self, all_tuples):
-        from repro.hyracks.operators.sort import compile_order_key
-
-        return compile_order_key(self.key_fields, self.descending,
-                                 all_tuples)
-
-    def _key_with_order(self, tup):
-        from repro.hyracks.operators.sort import order_key
-
-        return order_key(tup, self.key_fields, self.descending)
 
     def __repr__(self):
         return f"merge({self.key_fields})"

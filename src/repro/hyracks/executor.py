@@ -1,10 +1,8 @@
 """The pipelined, parallel Hyracks job executor.
 
-The original executor ran every operator to completion, materialized its
-full output, and looped over partitions sequentially.  This module keeps
-that model's *accounting* (the simulated clock, per-(operator, partition)
-:class:`~repro.hyracks.profiler.PartitionCost` sinks) while executing the
-way Hyracks actually does:
+Accounting is per (operator, partition) — the simulated clock sums
+:class:`~repro.hyracks.profiler.PartitionCost` sinks — while execution
+follows Hyracks:
 
 * **Stages.**  The job DAG is split into stages at pipeline breakers:
   an edge is fused only when it is a same-width one-to-one connector into
@@ -17,8 +15,11 @@ way Hyracks actually does:
   ``config.frame_size`` tuples through push-based
   :class:`~repro.hyracks.job.OperatorTask` objects, so peak intermediate
   state inside a stage is one frame per operator, not every operator's
-  full output.  Streaming tasks issue the same cost charges ``run``
-  would, so the simulated clock is identical with pipelining on or off.
+  full output.  Streaming tasks defer their batch charges to
+  ``finish``, so the simulated clock does not depend on the framing.
+  A streaming operator that could not fuse with its producer (its input
+  arrives through a repartitioning connector) heads its own stage and
+  is driven through the same task over its routed input.
 
 * **Parallel partitions.**  The partitions of a stage execute
   concurrently on a worker pool — one worker per *node*, with each node's
@@ -51,14 +52,11 @@ from repro.resilience import NodeCrashFault, NodeState
 
 class _ConnCtx:
     """Cost sink for connector routing; the executor spreads the charge
-    across the consuming partitions afterwards.  Carries the executor's
-    ``batch_execution`` toggle so the merge connector picks the same key
-    strategy (compiled vs per-tuple) the job's operators use."""
+    across the consuming partitions afterwards."""
 
-    def __init__(self, cost_model, key_cache=None, batch_execution=True):
+    def __init__(self, cost_model, key_cache=None):
         self.cost = cost_model
         self.key_cache = key_cache
-        self.batch_execution = batch_execution
         self.network_tuples = 0
         self.cpu_us = 0.0
 
@@ -96,14 +94,11 @@ def _effective_width(op, num_partitions: int) -> int:
     return op.partition_count or num_partitions
 
 
-def build_stages(job: JobSpecification, num_partitions: int,
-                 pipelining: bool) -> list:
+def build_stages(job: JobSpecification, num_partitions: int) -> list:
     """Split the DAG into stages, fusing streamable one-to-one chains.
 
     Stages are emitted in an order derived from the job's topological
-    order, so executing them sequentially respects every dependency; with
-    ``pipelining=False`` every operator is its own stage (the original
-    materialize-everything model).
+    order, so executing them sequentially respects every dependency.
     """
     order = job.topological_order()
     out_edges: dict = {}
@@ -116,7 +111,7 @@ def build_stages(job: JobSpecification, num_partitions: int,
             continue
         chain = [op_id]
         cur = op_id
-        while pipelining:
+        while True:
             outs = out_edges.get(cur, [])
             if len(outs) != 1:
                 break
@@ -139,10 +134,10 @@ def build_stages(job: JobSpecification, num_partitions: int,
 class JobExecutor:
     """Executes one validated job on a cluster controller.
 
-    ``mode`` and ``pipelining`` come from ``config.executor``; the
-    coordinator (this class) routes connectors and enforces stage
-    barriers on the calling thread, and dispatches per-partition tasks
-    either inline (serial) or one worker per node (parallel).
+    ``mode`` comes from ``config.executor``; the coordinator (this
+    class) routes connectors and enforces stage barriers on the calling
+    thread, and dispatches per-partition tasks either inline (serial)
+    or one worker per node (parallel).
     """
 
     def __init__(self, cluster, job: JobSpecification, profile, span=None,
@@ -172,10 +167,9 @@ class JobExecutor:
 
     def run(self) -> list:
         job, profile = self.job, self.profile
-        stages = build_stages(job, self.cluster.num_partitions,
-                              self.exec_config.pipelining)
-        # operator profiles are created in topological order, matching the
-        # operator ordering the serial executor always reported
+        stages = build_stages(job, self.cluster.num_partitions)
+        # operator profiles are created in topological order, whatever
+        # order the stages execute in
         op_profiles = {
             op_id: profile.new_operator(
                 repr(job.operators[op_id]),
@@ -231,9 +225,7 @@ class JobExecutor:
         # route each input edge of the stage head to its partitions
         routed_per_edge = []
         for edge in job.inputs_of(stage.head):
-            conn_ctx = _ConnCtx(
-                self.config.cost, key_cache=self.key_cache,
-                batch_execution=self.exec_config.batch_execution)
+            conn_ctx = _ConnCtx(self.config.cost, key_cache=self.key_cache)
             routed = edge.connector.route(
                 outputs[edge.producer], width, conn_ctx
             )
@@ -248,8 +240,8 @@ class JobExecutor:
                 cost.network_us += per_part_net
                 cost.cpu_us += per_part_cpu
             routed_per_edge.append(routed)
-        # interior operators get cost entries for every partition, exactly
-        # as the materializing executor created them
+        # interior operators get cost entries for every partition, even
+        # ones no frame reaches
         for op_id in stage.op_ids[1:]:
             for p in range(width):
                 op_profiles[op_id].cost(p)
@@ -309,8 +301,16 @@ class JobExecutor:
                 key_cache=self.key_cache)
             head_inputs = [routed[partition] for routed in routed_per_edge]
             head_ctx.cost.tuples_in += sum(len(x) for x in head_inputs)
+            if head.streaming:
+                # could not fuse with its producer: the same task, fed
+                # its whole routed input as one push
+                head_task = head.start(head_ctx, partition)
+                produced = (head_task.push(head_inputs[0])
+                            + head_task.finish())
+            else:
+                produced = head.run(head_ctx, partition, head_inputs)
             if not stage.pipelined:
-                return head.run(head_ctx, partition, head_inputs)
+                return list(produced)
             tasks = [
                 op.start(
                     TaskContext(node, config,
@@ -324,7 +324,7 @@ class JobExecutor:
             sink: list = []
             frame: list = []
             frame_size = config.frame_size
-            for tup in head.run_iter(head_ctx, partition, head_inputs):
+            for tup in produced:
                 frame.append(tup)
                 if len(frame) >= frame_size:
                     self._emit_frame(tasks, 0, frame, sink)
@@ -356,8 +356,8 @@ class JobExecutor:
 
 
 def make_worker_pool(config) -> ThreadPoolExecutor:
-    """The cluster's node-worker pool (one worker per node by default)."""
-    workers = config.executor.workers or config.num_nodes
+    """The cluster's node-worker pool: one worker per node."""
     return ThreadPoolExecutor(
-        max_workers=max(1, workers), thread_name_prefix="hyracks-node",
+        max_workers=max(1, config.num_nodes),
+        thread_name_prefix="hyracks-node",
     )

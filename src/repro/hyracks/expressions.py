@@ -10,23 +10,16 @@ MISSING, and quantified expressions short-circuit.
 expression (quantified variables, inline-collection iteration); ordinary
 query variables are compiled to :class:`ColumnRef` positions.
 
-Two evaluation strategies coexist:
-
-* ``expr.evaluate(tup, env)`` — tree interpretation, one Python-level
-  dispatch per IR node per tuple.  Always available; the reference
-  semantics.
-* :func:`compile_expr` — walks the tree **once per job** and emits nested
-  closures, so per-tuple evaluation pays no attribute lookups, no
-  registry indirection, and no argument-list building for the common
-  unary/binary shapes.  Operators compile their expressions in
-  ``prepare`` (see :meth:`repro.hyracks.job.OperatorDescriptor.prepare`),
-  gated by ``ExecutorConfig.compile_expressions``.
-
-Compiled closures MUST be deterministic and side-effect free, and must
-produce byte-identical results to ``evaluate`` on every input — the
-equivalence suite runs every query with compilation on and off and
-compares results and the simulated clock (docs/PERFORMANCE.md states the
-invariants).
+Operators never interpret the tree per tuple: :func:`compile_expr` walks
+it **once per job** (``OperatorDescriptor.prepare``) and emits nested
+closures, so per-tuple evaluation pays no attribute lookups, no registry
+indirection, and no argument-list building for the common unary/binary
+shapes.  ``expr.evaluate(tup, env)`` — tree interpretation, one
+Python-level dispatch per IR node — is the one-shot evaluator (index
+bounds, DML payloads) and the reference semantics: compiled closures
+MUST be deterministic and side-effect free, and must produce
+byte-identical results to ``evaluate`` on every input, which the
+hypothesis suite in tests/hyracks/test_expression_compile.py checks.
 """
 
 from __future__ import annotations

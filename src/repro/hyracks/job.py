@@ -9,17 +9,17 @@ splits the DAG into stages at pipeline breakers and streams frames through
 fused chains of streaming operators; :mod:`repro.hyracks.cluster` drives
 it in dependency order.
 
-Two execution protocols coexist on :class:`OperatorDescriptor`:
+One protocol, two roles on :class:`OperatorDescriptor`:
 
-* ``run(ctx, partition, inputs)`` — the original list-in/list-out form
-  every operator implements; pipeline breakers only ever run this way.
-* ``start(ctx, partition)``/``run_iter(...)`` — the push/pull streaming
-  forms.  ``streaming = True`` operators return an :class:`OperatorTask`
-  from ``start`` that consumes input one frame at a time; sources may
-  override ``run_iter`` to *produce* output incrementally.  Streaming
-  implementations must issue the exact same cost charges, in the same
-  order, as ``run`` would (defer batch charges to ``finish``), so the
-  simulated clock is byte-identical whichever protocol executes.
+* Sources and pipeline breakers (``streaming = False``) implement
+  ``run(ctx, partition, inputs)``: one tuple list per input port in, an
+  iterable of output tuples out.  A source's ``run`` is a generator, so
+  the stage it heads never materializes its full output.
+* Streaming operators (``streaming = True``) implement only
+  ``start(ctx, partition)``, returning an :class:`OperatorTask` that
+  consumes input one frame at a time.  Tasks defer their batch cost
+  charges to ``finish``, so the simulated clock does not depend on how
+  the input was framed.
 """
 
 from __future__ import annotations
@@ -50,30 +50,10 @@ class OperatorTask:
         return []
 
 
-class BufferedOperatorTask(OperatorTask):
-    """Compatibility task: buffers every frame and calls ``run`` at
-    end-of-stream.  Pipeline breakers use this when they end up in a
-    push-based position (they normally head their own stage instead)."""
-
-    def __init__(self, op, ctx, partition):
-        super().__init__(op, ctx, partition)
-        self._buffer: list = []
-
-    def push(self, frame):
-        self._buffer.extend(frame)
-        return []
-
-    def finish(self):
-        return self.op.run(self.ctx, self.partition, [self._buffer])
-
-
 class OperatorDescriptor:
-    """Base class for runtime operators.
-
-    ``run(ctx, partition, inputs)`` consumes one list of tuples per input
-    port (already routed to this partition) and returns this partition's
-    output tuples.  ``num_inputs`` declares the port count.
-    """
+    """Base class for runtime operators; ``num_inputs`` declares the
+    port count.  Subclasses implement ``run`` or ``start`` according to
+    their ``streaming`` flag (see the module docstring)."""
 
     num_inputs = 1
     #: None = run at full cluster width; 1 = single (global) partition
@@ -87,27 +67,22 @@ class OperatorDescriptor:
     #: executor's stage decomposition.
     streaming = False
 
-    def run(self, ctx, partition: int, inputs: list) -> list:
+    def run(self, ctx, partition: int, inputs: list):
+        """Sources and pipeline breakers: consume one list of tuples per
+        input port (already routed to this partition) and return an
+        iterable of this partition's output tuples."""
+        raise NotImplementedError
+
+    def start(self, ctx, partition: int) -> OperatorTask:
+        """Streaming operators: begin push-based execution."""
         raise NotImplementedError
 
     def prepare(self, config) -> None:
-        """Per-job compilation hook, called once before execution (when
-        ``config.executor.compile_expressions`` is on).  Operators that
-        carry scalar expressions override this to compile them into
-        closures via :func:`repro.hyracks.expressions.compile_expr`; the
-        compiled form must be byte-identical to interpretation.  The
-        default is a no-op, so expression-free operators (and operators
-        on jobs that skip preparation) always interpret."""
-
-    def start(self, ctx, partition: int) -> OperatorTask:
-        """Begin push-based execution; streaming operators override."""
-        return BufferedOperatorTask(self, ctx, partition)
-
-    def run_iter(self, ctx, partition: int, inputs: list):
-        """Generator form of ``run`` for stage heads.  Sources that can
-        emit incrementally (scans) override this with a true generator so
-        a pipelined stage never materializes their full output."""
-        yield from self.run(ctx, partition, inputs)
+        """Per-job compilation hook, called once before execution.
+        Operators that carry scalar expressions override this to compile
+        them into closures via
+        :func:`repro.hyracks.expressions.compile_expr`; the default is a
+        no-op for expression-free operators."""
 
     def __repr__(self):
         return self.name
@@ -211,10 +186,9 @@ def prepare_job(job: JobSpecification, config) -> None:
     """Compile every operator's expressions for one job execution.
 
     Called by the cluster controller after ``validate()`` and before the
-    first attempt, gated by ``config.executor.compile_expressions`` —
-    compilation happens once per job, never per tuple, per partition, or
-    per retry (``prepare`` implementations are idempotent, so a re-run
-    job simply keeps its closures)."""
+    first attempt — compilation happens once per job, never per tuple,
+    per partition, or per retry (``prepare`` implementations are
+    idempotent, so a re-run job simply keeps its closures)."""
     from repro.observability.metrics import get_registry
 
     for op in job.operators:

@@ -1,17 +1,8 @@
-"""Task context and the streaming-operator protocol.
+"""The task context operators run against.
 
 :class:`TaskContext` gives operators access to the node hosting their
 partition (storage, temp files), the cluster config (frame sizes, memory
 budgets), and the cost-charging hooks that drive the simulated clock.
-
-This module also re-exports the pipeline protocol pieces operators
-declare themselves against (:class:`OperatorTask`,
-:class:`BufferedOperatorTask`, and the ``streaming`` flag on
-:class:`~repro.hyracks.job.OperatorDescriptor`): a streaming operator
-consumes frames incrementally and may be fused into a pipelined stage;
-pipeline breakers — external sort, group-by, joins (the build side must
-be complete before probing), the result writer — keep ``streaming =
-False`` and start a new stage, which is where the executor materializes.
 """
 
 from __future__ import annotations
@@ -19,10 +10,6 @@ from __future__ import annotations
 import itertools
 
 from repro.common.config import ClusterConfig
-from repro.hyracks.job import (  # noqa: F401  (re-exported protocol)
-    BufferedOperatorTask,
-    OperatorTask,
-)
 from repro.hyracks.keys import plain_key_bytes, plain_key_bytes_many
 from repro.hyracks.profiler import PartitionCost
 

@@ -6,15 +6,12 @@ group-by (with grace-style spilling under a frame budget) and pre-clustered
 group-by for inputs already sorted on the grouping keys; ``AggregateOp``
 is the global (single-group) variant.
 
-With ``ExecutorConfig.batch_execution`` on (the default) every operator
-here works frame-at-a-time: group keys batch through the job key cache
-(``TaskContext.key_bytes_many``), each group accumulates its tuples and
-folds them once through ``AggregateCall.evaluate_many`` +
-``AggregateState.step_many``.  The per-tuple loops remain as the
-reference semantics when the toggle is off; both paths issue the same
-simulated-clock charges and produce byte-identical output, groups in the
-same (first-seen / clustered) order.  ``agg.batched_steps`` counts the
-values that flowed through the bulk fold.
+Every operator here works frame-at-a-time: group keys batch through the
+job key cache (``TaskContext.key_bytes_many``), each group accumulates
+its tuples and folds them once through ``AggregateCall.evaluate_many`` +
+``AggregateState.step_many``, groups in first-seen / clustered order.
+``agg.batched_steps`` counts the values that flowed through the bulk
+fold.
 """
 
 from __future__ import annotations
@@ -43,27 +40,13 @@ class AggregateCall:
 
     def __post_init__(self):
         self._func = resolve_aggregate(self.function)
-        self._eval = None       # compiled argument closure
-        self._eval_many = None  # compiled frame-level evaluator
+        #: the argument over a whole frame, ``(tuples) -> [values]``;
+        #: set by the owning operator's ``prepare``
+        self.evaluate_many = None
 
     def compile(self) -> None:
-        self._eval = compile_expr(self.argument)
-        self._eval_many = compile_expr_batch(self.argument, self._eval)
-
-    @property
-    def evaluator(self):
-        """The per-tuple argument evaluator: the compiled closure when the
-        owning operator was prepared, the interpreter otherwise."""
-        return (self._eval if self._eval is not None
-                else self.argument.evaluate)
-
-    def evaluate_many(self, frame) -> list:
-        """The argument over a whole frame, one comprehension — identical
-        values to calling :attr:`evaluator` per tuple."""
-        if self._eval_many is not None:
-            return self._eval_many(frame)
-        evaluate = self.argument.evaluate
-        return [evaluate(t) for t in frame]
+        self.evaluate_many = compile_expr_batch(
+            self.argument, compile_expr(self.argument))
 
     def new_state(self) -> AggregateState:
         return AggregateState(self._func)
@@ -135,49 +118,29 @@ class HashGroupByOp(OperatorDescriptor):
         key_fields = self.key_fields
         cols = tuple(key_fields)
         ctx.charge_hash(len(data))
-        if ctx.config.executor.batch_execution:
-            # phase 1 routes tuples into per-group pending lists with the
-            # exact spill decisions of the per-tuple path (same key
-            # bytes, same first-seen order, same table-size threshold);
-            # phase 2 folds each group once
-            groups: dict[bytes, tuple] = {}
-            for tup, kb in zip(data, ctx.key_bytes_many(data, cols)):
-                entry = groups.get(kb)
-                if entry is None:
-                    if len(groups) >= budget and depth < 8:
-                        self._spill(ctx, overflow, kb, tup, depth,
-                                    fan_out, seed)
-                        continue
-                    entry = (tuple(tup[i] for i in key_fields), [])
-                    groups[kb] = entry
-                entry[1].append(tup)
-            aggregates = self.aggregates
-            out = [
-                _finish_group(key, _fold_group(aggregates, pending))
-                for key, pending in groups.values()
-            ]
-            grouped = sum(len(p) for _, p in groups.values())
-            if grouped:
-                get_registry().counter("agg.batched_steps").inc(
-                    grouped * max(1, len(aggregates)))
-        else:
-            evals = [a.evaluator for a in self.aggregates]
-            groups = {}
-            for tup in data:
-                kb = ctx.key_bytes(tup, cols)
-                entry = groups.get(kb)
-                if entry is None:
-                    if len(groups) >= budget and depth < 8:
-                        self._spill(ctx, overflow, kb, tup, depth,
-                                    fan_out, seed)
-                        continue
-                    key = tuple(tup[i] for i in key_fields)
-                    entry = (key, [a.new_state() for a in self.aggregates])
-                    groups[kb] = entry
-                for ev, state in zip(evals, entry[1]):
-                    state.step(ev(tup))   # lint: allow-per-tuple
-            out = [_finish_group(key, states)
-                   for key, states in groups.values()]
+        # phase 1 routes tuples into per-group pending lists, spilling
+        # first-seen groups past the table budget; phase 2 folds each
+        # group once
+        groups: dict[bytes, tuple] = {}
+        for tup, kb in zip(data, ctx.key_bytes_many(data, cols)):
+            entry = groups.get(kb)
+            if entry is None:
+                if len(groups) >= budget and depth < 8:
+                    self._spill(ctx, overflow, kb, tup, depth,
+                                fan_out, seed)
+                    continue
+                entry = (tuple(tup[i] for i in key_fields), [])
+                groups[kb] = entry
+            entry[1].append(tup)
+        aggregates = self.aggregates
+        out = [
+            _finish_group(key, _fold_group(aggregates, pending))
+            for key, pending in groups.values()
+        ]
+        grouped = sum(len(p) for _, p in groups.values())
+        if grouped:
+            get_registry().counter("agg.batched_steps").inc(
+                grouped * max(1, len(aggregates)))
         ctx.charge_cpu(len(data) * max(1, len(self.aggregates)))
         for writer in overflow:
             reader = writer.finish()
@@ -213,40 +176,21 @@ class PreclusteredGroupByOp(OperatorDescriptor):
         out = []
         cols = tuple(self.key_fields)
         ctx.charge_compare(len(data))
-        if ctx.config.executor.batch_execution:
-            # batch the key bytes, scan for group boundaries, fold each
-            # clustered slice once
-            kbs = ctx.key_bytes_many(data, cols)
-            aggregates = self.aggregates
-            start = 0
-            for idx in range(1, len(data) + 1):
-                if idx < len(data) and kbs[idx] == kbs[start]:
-                    continue
-                frame = data[start:idx]
-                key = tuple(frame[0][i] for i in self.key_fields)
-                out.append(_finish_group(key,
-                                         _fold_group(aggregates, frame)))
-                start = idx
-            if data:
-                get_registry().counter("agg.batched_steps").inc(
-                    len(data) * max(1, len(aggregates)))
-        else:
-            current_kb = None
-            current_key: tuple = ()
-            states: list = []
-            evals = [a.evaluator for a in self.aggregates]
-            for tup in data:
-                kb = ctx.key_bytes(tup, cols)
-                if kb != current_kb:
-                    if current_kb is not None:
-                        out.append(_finish_group(current_key, states))
-                    current_kb = kb
-                    current_key = tuple(tup[i] for i in self.key_fields)
-                    states = [a.new_state() for a in self.aggregates]
-                for ev, state in zip(evals, states):
-                    state.step(ev(tup))   # lint: allow-per-tuple
-            if current_kb is not None:
-                out.append(_finish_group(current_key, states))
+        # batch the key bytes, scan for group boundaries, fold each
+        # clustered slice once
+        kbs = ctx.key_bytes_many(data, cols)
+        aggregates = self.aggregates
+        start = 0
+        for idx in range(1, len(data) + 1):
+            if idx < len(data) and kbs[idx] == kbs[start]:
+                continue
+            frame = data[start:idx]
+            key = tuple(frame[0][i] for i in self.key_fields)
+            out.append(_finish_group(key, _fold_group(aggregates, frame)))
+            start = idx
+        if data:
+            get_registry().counter("agg.batched_steps").inc(
+                len(data) * max(1, len(aggregates)))
         ctx.charge_cpu(len(data))
         ctx.cost.tuples_out += len(out)
         return out
@@ -271,17 +215,10 @@ class AggregateOp(OperatorDescriptor):
 
     def run(self, ctx, partition, inputs):
         data = inputs[0]
-        if ctx.config.executor.batch_execution:
-            states = _fold_group(self.aggregates, data)
-            if data:
-                get_registry().counter("agg.batched_steps").inc(
-                    len(data) * max(1, len(self.aggregates)))
-        else:
-            states = [a.new_state() for a in self.aggregates]
-            evals = [a.evaluator for a in self.aggregates]
-            for tup in data:
-                for ev, state in zip(evals, states):
-                    state.step(ev(tup))   # lint: allow-per-tuple
+        states = _fold_group(self.aggregates, data)
+        if data:
+            get_registry().counter("agg.batched_steps").inc(
+                len(data) * max(1, len(self.aggregates)))
         ctx.charge_cpu(len(data) * max(1, len(self.aggregates)))
         ctx.cost.tuples_out += 1
         return [tuple(s.finish() for s in states)]

@@ -14,11 +14,7 @@ anti (NOT EXISTS).
 from __future__ import annotations
 
 from repro.adm.values import MISSING, fnv1a_bytes
-from repro.hyracks.expressions import (
-    RuntimeExpr,
-    compile_predicate,
-    evaluate_predicate,
-)
+from repro.hyracks.expressions import RuntimeExpr, compile_predicate
 from repro.hyracks.job import OperatorDescriptor
 from repro.hyracks.runfile import RunFileWriter
 
@@ -30,8 +26,8 @@ class HybridHashJoinOp(OperatorDescriptor):
 
     Key matching follows SQL++ equality: a key containing MISSING or null
     never matches anything (``a = b`` is unknown, and only True joins),
-    matching what the nested-loop join's interpreted ``eq`` predicate
-    does — important now that the optimizer rewrites computed equi-keys
+    matching what the nested-loop join's ``eq`` predicate does —
+    important now that the optimizer rewrites computed equi-keys
     (``ON m.authorId = u.id``) into hash joins via fresh key variables.
     Unknown-keyed tuples are screened out before build/probe: build-side
     ones are dropped (they can never appear in any output), probe-side
@@ -74,12 +70,7 @@ class HybridHashJoinOp(OperatorDescriptor):
             self._residual_pred = compile_predicate(self.residual)
 
     def _residual_ok(self, joined) -> bool:
-        if self.residual is None:
-            return True
-        pred = self._residual_pred
-        if pred is not None:
-            return pred(joined)
-        return evaluate_predicate(self.residual, joined)
+        return self.residual is None or self._residual_pred(joined)
 
     @staticmethod
     def _has_unknown_key(tup, fields) -> bool:
@@ -269,10 +260,7 @@ class NestedLoopJoinOp(OperatorDescriptor):
         pad_width = (self.right_width if self.right_width is not None
                      else (len(right[0]) if right else 0))
         padding = (MISSING,) * pad_width
-        pred = self._cond_pred
-        if pred is None and self.condition is not None:
-            cond = self.condition
-            pred = lambda joined: evaluate_predicate(cond, joined)  # noqa: E731
+        pred = self._cond_pred           # None = cross product
         for ltup in left:
             matched = False
             for rtup in right:

@@ -29,10 +29,6 @@ class InMemorySourceOp(OperatorDescriptor):
                        for t in tuples]
 
     def run(self, ctx, partition, inputs):
-        ctx.charge_cpu(len(self.tuples))
-        return list(self.tuples)
-
-    def run_iter(self, ctx, partition, inputs):
         yield from self.tuples
         ctx.charge_cpu(len(self.tuples))
 
@@ -50,9 +46,6 @@ class DatasetScanOp(OperatorDescriptor):
         self.dataset = dataset
 
     def run(self, ctx, partition, inputs):
-        return list(self.run_iter(ctx, partition, inputs))
-
-    def run_iter(self, ctx, partition, inputs):
         """Incremental scan: a pipelined stage pulls tuples one frame at
         a time instead of materializing the whole partition."""
         storage = ctx.storage_partition(self.dataset, partition)
@@ -83,9 +76,6 @@ class ExternalScanOp(OperatorDescriptor):
         self.adapter = adapter      # repro.external adapter object
 
     def run(self, ctx, partition, inputs):
-        return list(self.run_iter(ctx, partition, inputs))
-
-    def run_iter(self, ctx, partition, inputs):
         num_partitions = ctx.node.cluster_num_partitions
         count = 0
         for split_index, record in self.adapter.read_splits():

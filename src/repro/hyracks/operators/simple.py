@@ -1,12 +1,13 @@
 """Streaming operators: assign, select, project, limit, union, unnest,
 distinct.
 
-Most operators here set ``streaming = True`` and provide an
-:class:`~repro.hyracks.job.OperatorTask` so the executor can fuse them
-into pipelined stages.  Every streaming task defers its batch cost
-charges to ``finish`` using the same integer counts ``run`` would use,
-so the simulated clock is bit-identical whether a query executes
-materialized or pipelined (see docs/ARCHITECTURE.md, "Job execution").
+Most operators here set ``streaming = True`` and provide only an
+:class:`~repro.hyracks.job.OperatorTask`, which the executor either
+fuses into a pipelined stage or, when the operator heads a stage, feeds
+its whole routed input.  Every task defers its batch cost charges to
+``finish`` as integer counts over the whole stream, so the simulated
+clock is bit-identical however the input was framed (see
+docs/ARCHITECTURE.md, "Job execution").
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from repro.hyracks.expressions import (
     RuntimeExpr,
     compile_expr,
     compile_predicate,
-    evaluate_predicate,
 )
 from repro.hyracks.job import OperatorDescriptor, OperatorTask
 
@@ -34,25 +34,6 @@ class AssignOp(OperatorDescriptor):
     def prepare(self, config):
         self._evals = [compile_expr(e) for e in self.exprs]
 
-    def _transform(self, batch: list) -> list:
-        """Batch-level projection of one frame (or full input) through
-        either the compiled closures or the interpreter."""
-        evals = self._evals
-        if evals is None:
-            exprs = self.exprs
-            return [tup + tuple(e.evaluate(tup) for e in exprs)
-                    for tup in batch]
-        if len(evals) == 1:
-            f = evals[0]
-            return [tup + (f(tup),) for tup in batch]
-        return [tup + tuple(f(tup) for f in evals) for tup in batch]
-
-    def run(self, ctx, partition, inputs):
-        out = self._transform(inputs[0])
-        ctx.charge_cpu(len(out) * max(1, len(self.exprs)))
-        ctx.cost.tuples_out += len(out)
-        return out
-
     def start(self, ctx, partition):
         return _AssignTask(self, ctx, partition)
 
@@ -66,7 +47,12 @@ class _AssignTask(OperatorTask):
         self._count = 0
 
     def push(self, frame):
-        out = self.op._transform(frame)
+        evals = self.op._evals
+        if len(evals) == 1:
+            f = evals[0]
+            out = [tup + (f(tup),) for tup in frame]
+        else:
+            out = [tup + tuple(f(tup) for f in evals) for tup in frame]
         self._count += len(out)
         return out
 
@@ -89,19 +75,6 @@ class SelectOp(OperatorDescriptor):
     def prepare(self, config):
         self._pred = compile_predicate(self.condition)
 
-    def _filter(self, batch: list) -> list:
-        pred = self._pred
-        if pred is None:
-            cond = self.condition
-            return [t for t in batch if evaluate_predicate(cond, t)]
-        return [t for t in batch if pred(t)]
-
-    def run(self, ctx, partition, inputs):
-        ctx.charge_cpu(len(inputs[0]))
-        out = self._filter(inputs[0])
-        ctx.cost.tuples_out += len(out)
-        return out
-
     def start(self, ctx, partition):
         return _SelectTask(self, ctx, partition)
 
@@ -117,7 +90,8 @@ class _SelectTask(OperatorTask):
 
     def push(self, frame):
         self._seen += len(frame)
-        out = self.op._filter(frame)
+        pred = self.op._pred
+        out = [t for t in frame if pred(t)]
         self._kept += len(out)
         return out
 
@@ -135,13 +109,6 @@ class ProjectOp(OperatorDescriptor):
 
     def __init__(self, fields: list[int]):
         self.fields = list(fields)
-
-    def run(self, ctx, partition, inputs):
-        fields = self.fields
-        out = [tuple(t[i] for i in fields) for t in inputs[0]]
-        ctx.charge_cpu(len(out))
-        ctx.cost.tuples_out += len(out)
-        return out
 
     def start(self, ctx, partition):
         return _ProjectTask(self, ctx, partition)
@@ -177,13 +144,6 @@ class LimitOp(OperatorDescriptor):
     def __init__(self, limit: int | None, offset: int = 0):
         self.limit = limit
         self.offset = offset
-
-    def run(self, ctx, partition, inputs):
-        data = inputs[0][self.offset:]
-        if self.limit is not None:
-            data = data[: self.limit]
-        ctx.cost.tuples_out += len(data)
-        return list(data)
 
     def start(self, ctx, partition):
         return _LimitTask(self, ctx, partition)
@@ -249,8 +209,7 @@ class UnnestOp(OperatorDescriptor):
         self._coll = compile_expr(self.collection)
 
     def _expand(self, tup) -> list:
-        coll = (self._coll(tup) if self._coll is not None
-                else self.collection.evaluate(tup))
+        coll = self._coll(tup)
         items = coll if isinstance(coll, (list, Multiset)) else []
         if not items and self.outer:
             extra = (MISSING, 0) if self.positional else (MISSING,)
@@ -258,14 +217,6 @@ class UnnestOp(OperatorDescriptor):
         if self.positional:
             return [tup + (item, pos) for pos, item in enumerate(items)]
         return [tup + (item,) for item in items]
-
-    def run(self, ctx, partition, inputs):
-        out = []
-        for tup in inputs[0]:
-            out.extend(self._expand(tup))
-        ctx.charge_cpu(len(out) + len(inputs[0]))
-        ctx.cost.tuples_out += len(out)
-        return out
 
     def start(self, ctx, partition):
         return _UnnestTask(self, ctx, partition)
@@ -307,22 +258,6 @@ class DistinctOp(OperatorDescriptor):
         # key-column tuple for the job's key cache (None = whole tuple)
         self._cols = None if fields is None else tuple(fields)
 
-    def run(self, ctx, partition, inputs):
-        # key bytes batch through the job cache in one call; the hash
-        # charge stays per tuple so the float accumulation is identical
-        # to the pipelined task's per-frame pushes
-        seen = set()
-        out = []
-        keys = ctx.key_bytes_many(inputs[0], self._cols)
-        for tup, key in zip(inputs[0], keys):
-            ctx.charge_hash(1)
-            if key not in seen:
-                seen.add(key)
-                out.append(tup)
-        ctx.charge_cpu(len(inputs[0]))
-        ctx.cost.tuples_out += len(out)
-        return out
-
     def start(self, ctx, partition):
         return _DistinctTask(self, ctx, partition)
 
@@ -337,6 +272,9 @@ class _DistinctTask(OperatorTask):
     def push(self, frame):
         out = []
         seen_keys = self._seen_keys
+        # key bytes batch through the job cache in one call; the hash
+        # charge stays per tuple so the float accumulation does not
+        # depend on the framing
         keys = self.ctx.key_bytes_many(frame, self.op._cols)
         for tup, key in zip(frame, keys):
             self.ctx.charge_hash(1)
@@ -370,11 +308,6 @@ class RunningAggregateOp(OperatorDescriptor):
     partition_count = 1
     name = "running-aggregate"
     streaming = True
-
-    def run(self, ctx, partition, inputs):
-        out = [tup + (i + 1,) for i, tup in enumerate(inputs[0])]
-        ctx.cost.tuples_out += len(out)
-        return out
 
     def start(self, ctx, partition):
         return _RunningAggregateTask(self, ctx, partition)

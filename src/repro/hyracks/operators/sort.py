@@ -11,19 +11,14 @@ The paper also credits university contributions with "much-improved
 parallel sorting" (§VII): the parallel plan sorts each partition locally
 with this operator and merges globally through a MergeConnector.
 
-Two key strategies coexist (ISSUE-7, ``ExecutorConfig.batch_execution``):
-
-* :func:`order_key` — the per-tuple reference: one ``_Key`` wrapper per
-  field per call, each comparison a Python-level :func:`compare` walk.
-* :func:`compile_order_key` — compiles fields+descending **once per
-  operator run** into a single closure over cheap ``order_part`` pairs
-  (raw values when a whole key column is natively orderable), so the
-  sort's O(n log n) comparisons run in the C tuple comparator.  The
-  external-merge path decorates run read-back streams with precomputed
-  keys (:meth:`ExternalSortOp._decorated`), so ``_merge_iter`` never
-  recomputes ``key(tup)`` on a heap push; the spill-file format is
-  unchanged, so page counts — and therefore simulated I/O — are
-  identical.  Both strategies issue the same simulated-clock charges.
+Sort keys are compiled, never rebuilt per comparison:
+:func:`compile_order_key` turns fields+descending **once per operator
+run** into a single closure over cheap ``order_part`` pairs (raw values
+when a whole key column is natively orderable), so the sort's O(n log n)
+comparisons run in the C tuple comparator.  The external-merge path
+decorates run read-back streams with precomputed keys
+(:meth:`ExternalSortOp._decorated`), so ``_merge_iter`` never recomputes
+``key(tup)`` on a heap push; the spill file stores only tuples.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ import heapq
 from repro.adm.comparators import (
     native_orderable,
     order_part,
-    tuple_key,
     tuple_key_many,
 )
 from repro.hyracks.job import OperatorDescriptor
@@ -56,24 +50,16 @@ class _Reversed:
         return self.key == other.key
 
 
-def order_key(tup, fields: list[int], descending: list[bool]):
-    """Composite sort key honoring per-field ASC/DESC."""
-    parts = []
-    for i, desc in zip(fields, descending):
-        k = tuple_key((tup[i],))
-        parts.append(_Reversed(k) if desc else k)
-    return tuple(parts)
-
-
 def compile_order_key(fields: list[int], descending: list[bool], data=None):
-    """Compile fields+descending into one key closure ordering tuples
-    exactly like :func:`order_key` (min-first is output order).
+    """Compile fields+descending into one key closure: tuples order by
+    :func:`repro.adm.comparators.compare` on each field in turn, reversed
+    on DESC fields (min-first is output order).
 
     When ``data`` — the full input the keys will be drawn from — is
     supplied, a key column whose values are natively orderable (one
     plain scalar type, or any mix of ints and floats) compiles to the
-    raw value, pushing those comparisons entirely into C.  Keys from one
-    compilation never compare against :func:`order_key` output.
+    raw value, pushing those comparisons entirely into C.  Keys from
+    different compilations never compare against each other.
     """
     parts = []
     for f, desc in zip(fields, descending):
@@ -132,15 +118,8 @@ class ExternalSortOp(OperatorDescriptor):
             ctx.release_memory(grant)
 
     def _sort(self, ctx, data, budget):
-        batched = ctx.config.executor.batch_execution
-        if batched:
-            sort_key, reverse, heap_key = _compile_sort_plan(
-                self.fields, self.descending, data)
-        else:
-            # per-tuple reference path: same comparisons, same charges
-            sort_key = heap_key = (
-                lambda t: order_key(t, self.fields, self.descending))
-            reverse = False
+        sort_key, reverse, heap_key = _compile_sort_plan(
+            self.fields, self.descending, data)
         ctx.charge_cpu(len(data))
         if len(data) <= budget:
             # fits in memory: one quicksort, no spill
@@ -177,12 +156,12 @@ class ExternalSortOp(OperatorDescriptor):
                     next_runs.append(group[0])
                 else:
                     next_runs.append(
-                        self._merge_to_run(ctx, group, heap_key, batched))
+                        self._merge_to_run(ctx, group, heap_key))
             runs = next_runs
         passes += 1                      # the final merge into the output
         self.last_merge_passes = passes
         get_registry().counter("sort.merge_passes").inc(passes)
-        out = list(self._merge_iter(ctx, runs, heap_key, batched))
+        out = list(self._merge_iter(ctx, runs, heap_key))
         ctx.cost.tuples_out += len(out)
         return out
 
@@ -208,7 +187,7 @@ class ExternalSortOp(OperatorDescriptor):
         for tup in run:
             yield key(tup), tup
 
-    def _merge_iter(self, ctx, runs, key, batched=False):
+    def _merge_iter(self, ctx, runs, key):
         """Heap-merge ``runs``; every reader is closed in a ``finally``,
         so an early-exiting consumer (LIMIT, a fault mid-merge) releases
         every temp file instead of leaking it."""
@@ -233,13 +212,13 @@ class ExternalSortOp(OperatorDescriptor):
         finally:
             for r in runs:
                 r.close()
-            if batched and pushes:
-                # heap pushes served from a batch-compiled precomputed key
+            if pushes:
+                # heap pushes served from a precomputed key
                 get_registry().counter("sort.key_cache_hits").inc(pushes)
 
-    def _merge_to_run(self, ctx, runs, key, batched=False):
+    def _merge_to_run(self, ctx, runs, key):
         writer = RunFileWriter(ctx, "mergerun")
-        for tup in self._merge_iter(ctx, runs, key, batched):
+        for tup in self._merge_iter(ctx, runs, key):
             writer.write(tup)
         return writer.finish()
 
@@ -270,19 +249,16 @@ class TopKSortOp(OperatorDescriptor):
         # every input tuple sifts a k-bounded heap: n * ceil(log2 k)
         # comparisons, not n (which undercounted the heap behavior)
         ctx.charge_compare(len(data) * max(1, self.k.bit_length()))
-        if ctx.config.executor.batch_execution:
-            out = self._topk_batched(data)
-        else:
-            key = lambda t: order_key(t, self.fields, self.descending)  # noqa: E731
-            out = heapq.nsmallest(self.k, data, key=key)
+        out = self._topk(data)
         ctx.cost.tuples_out += len(out)
         return out
 
-    def _topk_batched(self, data):
+    def _topk(self, data):
         """Decorate-select-undecorate: batch-build one key per tuple,
         then let the heap compare ``(key, position, tuple)`` triples —
         the position makes every triple distinct, so ties never reach
-        the tuples and stability matches ``nsmallest(key=...)``."""
+        the tuples and earlier input wins them (a stable sort's first
+        k)."""
         if self.descending and all(self.descending):
             # a uniformly-DESC top-k is the largest k under the
             # ascending key; positions descend so earlier input wins ties

@@ -1,13 +1,14 @@
-"""Property test: cost-based plans are answer-equivalent to syntactic
-plans.
+"""Property test: cost-based and syntactic plans both answer like the
+reference evaluator.
 
 Hypothesis generates multi-join SQL++ queries (the shapes join
 reordering, build-side selection, and broadcast connectors fire on) and
 runs each twice — stats-driven and with ``enable_cost_based=False``.
 Plan verification is on suite-wide, so every reordered plan re-verifies
-at each rewrite; on top of that the answers must match: byte-identical
-(repr-equal, in order) when the query has a deterministic ORDER BY on a
-unique key, multiset-equal otherwise.
+at each rewrite; on top of that both answers must equal what
+tests/reference.py computes from the unoptimized logical plan over the
+Python lists loaded below: as a sequence when the query has an ORDER BY
+on a unique key, as a bag otherwise.
 """
 
 import tempfile
@@ -19,6 +20,15 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st              # noqa: E402
 
 from repro import connect                            # noqa: E402
+from tests.reference import assert_same_rows, reference_rows  # noqa: E402
+
+REGIONS = ("north", "south", "east", "west")
+DATA = {
+    "Custs": [{"cid": i, "region": REGIONS[i % 4]} for i in range(12)],
+    "Orders": [{"oid": i, "cust": i % 12, "item": (i * 7) % 25,
+                "amount": float(i % 40)} for i in range(80)],
+    "Items": [{"iid": i, "price": i * 1.5} for i in range(25)],
+}
 
 _DB = None
 
@@ -36,25 +46,12 @@ def db():
             CREATE DATASET Orders(OrderType) PRIMARY KEY oid;
             CREATE DATASET Items(ItemType) PRIMARY KEY iid;
         """)
-        regions = ("north", "south", "east", "west")
-        for i in range(12):
-            _DB.cluster.insert_record("Default.Custs", {
-                "cid": i, "region": regions[i % 4],
-            })
-        for i in range(80):
-            _DB.cluster.insert_record("Default.Orders", {
-                "oid": i, "cust": i % 12, "item": (i * 7) % 25,
-                "amount": float(i % 40),
-            })
-        for i in range(25):
-            _DB.cluster.insert_record("Default.Items", {
-                "iid": i, "price": i * 1.5,
-            })
-        # flush so statistics come from persisted component synopses,
-        # not just the memory-component pass
-        _DB.flush_dataset("Custs")
-        _DB.flush_dataset("Orders")
-        _DB.flush_dataset("Items")
+        for name, records in DATA.items():
+            for record in records:
+                _DB.cluster.insert_record(f"Default.{name}", dict(record))
+            # flush so statistics come from persisted component
+            # synopses, not just the memory-component pass
+            _DB.flush_dataset(name)
     return _DB
 
 
@@ -63,7 +60,7 @@ where_clause = st.one_of(
     st.builds(lambda n: f" AND o.amount > {n}",
               st.integers(min_value=0, max_value=35)),
     st.builds(lambda r: f" AND c.region = '{r}'",
-              st.sampled_from(["north", "south", "east", "west"])),
+              st.sampled_from(REGIONS)),
 )
 
 
@@ -93,14 +90,11 @@ def join_query(draw):
 def test_cost_based_plans_answer_equivalent(q):
     query, ordered = q
     instance = db()
-    with_stats = instance.query(query)
-    without = instance.query(query, enable_cost_based=False)
-    if ordered:
-        # ORDER BY on the unique oid: results must be byte-identical,
-        # order included
-        assert repr(with_stats) == repr(without)
-    else:
-        assert sorted(map(repr, with_stats)) == sorted(map(repr, without))
+    expected = reference_rows(query, DATA, instance.metadata)
+    # ``ordered`` = ORDER BY on the unique oid: order must match too
+    assert_same_rows(instance.query(query), expected, ordered)
+    assert_same_rows(instance.query(query, enable_cost_based=False),
+                     expected, ordered)
 
 
 @settings(max_examples=10, deadline=None,

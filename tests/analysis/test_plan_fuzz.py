@@ -1,11 +1,14 @@
-"""Property test: every optimized plan satisfies the verifier.
+"""Property test: every optimized plan satisfies the verifier and
+answers like the reference evaluator.
 
 Hypothesis generates random SQL++ queries from a datagen-style grammar
 (the shapes the paper's workloads exercise: filters, joins, grouping,
 ordering, quantifiers).  Plan verification is on for the whole test
 suite (tests/conftest.py), so the verifier re-checks the plan after
 every rewrite-rule firing and the job after generation — any rule that
-corrupts a plan fails here naming itself.
+corrupts a plan fails here naming itself.  The answer is then checked
+against tests/reference.py, which interprets the unoptimized logical
+plan over the Python lists loaded below.
 """
 
 import tempfile
@@ -18,9 +21,19 @@ from hypothesis import strategies as st              # noqa: E402
 
 from repro import connect                            # noqa: E402
 from repro.analysis import plan_verification_enabled  # noqa: E402
+from tests.reference import assert_same_rows, reference_rows  # noqa: E402
 
 FIELDS = ("age", "score", "city", "id")
 CITIES = ("irvine", "riverside", "sandiego", "la", "sf")
+
+# what the reference evaluator scans; scores are pairwise distinct, so
+# ORDER BY r.score is a total order
+DATA = {
+    "Recs": [{"id": i, "age": 18 + (i * 7) % 45,
+              "score": (i * 13 % 100) / 10.0,
+              "city": CITIES[i % len(CITIES)]} for i in range(40)],
+    "Orders": [{"oid": i, "cust": i % 40} for i in range(30)],
+}
 
 _DB = None
 
@@ -38,18 +51,20 @@ def db():
             CREATE INDEX byAge ON Recs(age);
             CREATE INDEX byCity ON Recs(city);
         """)
-        for i in range(40):
-            _DB.cluster.insert_record("Default.Recs", {
-                "id": i, "age": 18 + (i * 7) % 45,
-                "score": (i * 13 % 100) / 10.0,
-                "city": CITIES[i % len(CITIES)],
-            })
-        for i in range(30):
-            _DB.cluster.insert_record("Default.Orders", {
-                "oid": i, "cust": i % 40,
-            })
+        for name, records in DATA.items():
+            for record in records:
+                _DB.cluster.insert_record(f"Default.{name}", dict(record))
         _DB.flush_dataset("Recs")
     return _DB
+
+
+def assert_matches_reference(instance, query, index_access=(True,)):
+    expected = reference_rows(query, DATA, instance.metadata)
+    # ORDER BY r.age has ties; the score and group-key orders do not
+    total = "ORDER BY r.score" in query or "ORDER BY c" in query
+    for flag in index_access:
+        assert_same_rows(instance.query(query, enable_index_access=flag),
+                         expected, ordered=total)
 
 
 # --- the grammar ------------------------------------------------------------
@@ -119,8 +134,7 @@ def test_every_optimized_plan_verifies(query):
     # the assertion is the verifier itself: any rule that breaks an
     # invariant raises PlanInvariantError naming the rule, and a bad
     # generated job raises JobInvariantError
-    rows = instance.query(query)
-    assert isinstance(rows, list)
+    assert_matches_reference(instance, query)
 
 
 @settings(max_examples=20, deadline=None,
@@ -128,10 +142,7 @@ def test_every_optimized_plan_verifies(query):
 @given(query=select_query())
 def test_index_paths_verify_too(query):
     instance = db()
-    with_idx = instance.query(query)
-    without = instance.query(query, enable_index_access=False)
-    if "EVERY" not in query:     # answers must agree as well
-        assert sorted(map(repr, with_idx)) == sorted(map(repr, without))
+    assert_matches_reference(instance, query, index_access=(True, False))
 
 
 # --- array (UNNEST) index fuzz ---------------------------------------------

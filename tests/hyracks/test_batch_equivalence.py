@@ -1,25 +1,27 @@
-"""Batched execution equivalence (ISSUE-7).
+"""Frame-at-a-time execution against plain-Python oracles (ISSUE-7).
 
-``ExecutorConfig.batch_execution`` swaps per-tuple dispatch for
-frame-at-a-time folds (bulk aggregate stepping, compiled sort keys,
-batched key bytes).  The toggle must be invisible in everything but
-wall-clock time, which this suite pins at three levels:
+Sorts, group-bys and aggregates run over whole frames (bulk aggregate
+stepping, compiled sort keys, batched key bytes).  Their answers are
+pinned at three levels:
 
 * **Value level** (hypothesis): ``AggregateState.step_many`` — whole or
   chunked — finishes with exactly what the sequential ``step`` fold
   produces, including tie-breaking (``1`` vs ``1.0`` in MIN/MAX);
-  ``order_part``/``compile_order_key`` order exactly like the ``_Key``
-  based ``order_key``.
+  ``order_part``/``compile_order_key`` order exactly like
+  :func:`repro.adm.comparators.compare`, reversed per DESC field.
 * **Operator level** (hypothesis): group-by/aggregate/top-k operators
-  run twice over random frames, batched on and off, and must agree on
-  output tuples *and* every simulated-clock charge.
+  over random frames must produce what a dict-and-fold oracle written
+  here produces, and charge the simulated clock what the cost model
+  says.
 * **Observability**: the ``agg.batched_steps`` and
-  ``sort.key_cache_hits`` counters tick on the batched paths, and the
-  top-k cost model charges ``n * ceil(log2 k)`` comparisons.
+  ``sort.key_cache_hits`` counters tick, and the top-k cost model
+  charges ``n * ceil(log2 k)`` comparisons.
 
-Executor-level coverage (serial/parallel/pipelined x batched on/off)
-lives in ``test_executor_equivalence.py``.
+Executor-level coverage (serial vs parallel) lives in
+``test_executor_equivalence.py``.
 """
+
+from functools import cmp_to_key
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +33,7 @@ from repro.adm.comparators import (
     tuple_key_many,
 )
 from repro.adm.values import MISSING
-from repro.common.config import ClusterConfig, ExecutorConfig, NodeConfig
+from repro.common.config import ClusterConfig, NodeConfig
 from repro.functions.aggregates import AggregateState
 from repro.functions.registry import resolve_aggregate
 from repro.hyracks.connectors import MergeConnector
@@ -47,7 +49,6 @@ from repro.hyracks.operators.sort import (
     TopKSortOp,
     _compile_sort_plan,
     compile_order_key,
-    order_key,
 )
 from repro.hyracks.profiler import PartitionCost
 from repro.observability.metrics import get_registry
@@ -124,6 +125,17 @@ FIELD_SPECS = st.lists(
     min_size=1, max_size=WIDTH)
 
 
+def reference_sort(data, fields, descending):
+    """Stable sort by ``compare`` on each field in turn, DESC reversed."""
+    def by_fields(a, b):
+        for f, desc in zip(fields, descending):
+            c = compare(a[f], b[f])
+            if c:
+                return -c if desc else c
+        return 0
+    return sorted(data, key=cmp_to_key(by_fields))
+
+
 class TestSortKeyAgreement:
     @settings(max_examples=150, deadline=None)
     @given(a=GENERAL_VALUES, b=GENERAL_VALUES)
@@ -145,7 +157,7 @@ class TestSortKeyAgreement:
     def test_compiled_key_sorts_like_order_key(self, data, spec):
         fields = [f for f, _ in spec]
         descending = [d for _, d in spec]
-        ref = sorted(data, key=lambda t: order_key(t, fields, descending))
+        ref = reference_sort(data, fields, descending)
         compiled = compile_order_key(fields, descending, data)
         assert sorted(data, key=compiled) == ref
         sort_key, reverse, heap_key = _compile_sort_plan(
@@ -155,39 +167,47 @@ class TestSortKeyAgreement:
             ref[0] if ref else None)
 
 
-def _config(batched: bool) -> ClusterConfig:
-    return ClusterConfig(num_nodes=1, partitions_per_node=1,
-                         node=NodeConfig(),
-                         executor=ExecutorConfig(batch_execution=batched))
-
-
-def _ctx(batched: bool) -> TaskContext:
+def _ctx() -> TaskContext:
     # node=None: these operators never touch node services on the
     # in-memory path exercised here
-    return TaskContext(None, _config(batched), PartitionCost())
+    config = ClusterConfig(num_nodes=1, partitions_per_node=1,
+                           node=NodeConfig())
+    return TaskContext(None, config, PartitionCost())
+
+
+AGG_NAMES = ("count", "sum", "min")       # over columns 0, 1, 2
 
 
 def _aggs():
-    return [AggregateCall("count", ColumnRef(0)),
-            AggregateCall("sum", ColumnRef(1)),
-            AggregateCall("min", ColumnRef(2))]
+    return [AggregateCall(name, ColumnRef(col))
+            for col, name in enumerate(AGG_NAMES)]
 
 
-def _run_both(runner):
-    """``runner(ctx)`` under batched off/on: identical output (strictly,
-    via :func:`canon`) and identical simulated-clock charges."""
-    results = []
-    for batched in (False, True):
-        ctx = _ctx(batched)
-        out = runner(ctx)
-        results.append((out, ctx.cost.cpu_us, ctx.cost.io_us,
-                        ctx.cost.network_us))
-    off, on = results
-    assert [canon(v) for t in off[0] for v in t] == \
-        [canon(v) for t in on[0] for v in t]
-    assert len(off[0]) == len(on[0])
-    assert off[1:] == on[1:]
-    return on[0]
+def reference_fold(rows):
+    """One output value per aggregate: the registry's ``step`` folded
+    over the column, unknowns skipped."""
+    out = []
+    for col, name in enumerate(AGG_NAMES):
+        state = AggregateState(resolve_aggregate(name))
+        for row in rows:
+            state.step(row[col])
+        out.append(state.finish())
+    return tuple(out)
+
+
+def reference_groups(data):
+    """Group on column 0 with a plain dict (the generated keys are small
+    ints, so Python equality is ADM equality), first-seen order."""
+    groups = {}
+    for row in data:
+        groups.setdefault(row[0], []).append(row)
+    return [(key,) + reference_fold(rows) for key, rows in groups.items()]
+
+
+def assert_strictly_equal(out, expected):
+    assert [canon(v) for t in out for v in t] == \
+        [canon(v) for t in expected for v in t]
+    assert len(out) == len(expected)
 
 
 OP_FRAMES = st.lists(
@@ -201,34 +221,41 @@ class TestOperatorEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(data=OP_FRAMES)
     def test_global_aggregate(self, data):
-        def runner(ctx):
-            op = AggregateOp(_aggs())
-            op.prepare(ctx.config)
-            return op.run(ctx, 0, [list(data)])
-        out = _run_both(runner)
-        assert len(out) == 1
+        ctx = _ctx()
+        op = AggregateOp(_aggs())
+        op.prepare(ctx.config)
+        out = op.run(ctx, 0, [list(data)])
+        assert_strictly_equal(out, [reference_fold(data)])
+        assert ctx.cost.cpu_us == \
+            len(data) * len(AGG_NAMES) * ctx.config.cost.tuple_cpu_us
 
     @settings(max_examples=60, deadline=None)
     @given(data=OP_FRAMES)
     def test_hash_group_by(self, data):
-        def runner(ctx):
-            op = HashGroupByOp([0], _aggs())
-            op.prepare(ctx.config)
-            # budget too large to spill: the spill path needs node temp
-            # files and is covered by the executor-level suite
-            return op._aggregate(ctx, list(data), 10 ** 9, 0)
-        _run_both(runner)
+        ctx = _ctx()
+        op = HashGroupByOp([0], _aggs())
+        op.prepare(ctx.config)
+        # budget too large to spill: the spill path needs node temp
+        # files and is covered by the executor-level suite
+        out = op._aggregate(ctx, list(data), 10 ** 9, 0)
+        assert_strictly_equal(out, reference_groups(data))
+        cost = ctx.config.cost
+        assert ctx.cost.cpu_us == (
+            len(data) * cost.hash_us
+            + len(data) * len(AGG_NAMES) * cost.tuple_cpu_us)
 
     @settings(max_examples=60, deadline=None)
     @given(data=OP_FRAMES)
     def test_preclustered_group_by(self, data):
-        clustered = sorted(data, key=lambda t: tuple_key((t[0],)))
-
-        def runner(ctx):
-            op = PreclusteredGroupByOp([0], _aggs())
-            op.prepare(ctx.config)
-            return op.run(ctx, 0, [clustered])
-        _run_both(runner)
+        clustered = sorted(data, key=lambda t: t[0])
+        ctx = _ctx()
+        op = PreclusteredGroupByOp([0], _aggs())
+        op.prepare(ctx.config)
+        out = op.run(ctx, 0, [clustered])
+        assert_strictly_equal(out, reference_groups(clustered))
+        cost = ctx.config.cost
+        assert ctx.cost.cpu_us == (len(data) * cost.compare_us
+                                   + len(data) * cost.tuple_cpu_us)
 
     @settings(max_examples=60, deadline=None)
     @given(data=FRAMES, spec=FIELD_SPECS,
@@ -236,13 +263,9 @@ class TestOperatorEquivalence:
     def test_topk_sort(self, data, spec, k):
         fields = [f for f, _ in spec]
         descending = [d for _, d in spec]
-
-        def runner(ctx):
-            return TopKSortOp(fields, k, descending).run(
-                ctx, 0, [list(data)])
-        out = _run_both(runner)
-        ref = sorted(data, key=lambda t: order_key(t, fields, descending))
-        assert out == ref[:k]
+        out = TopKSortOp(fields, k, descending).run(
+            _ctx(), 0, [list(data)])
+        assert out == reference_sort(data, fields, descending)[:k]
 
 
 class TestCostModelAndCounters:
@@ -250,7 +273,7 @@ class TestCostModelAndCounters:
         # satellite fix: n tuples through a k-bounded heap cost
         # n * max(1, ceil(log2 k)) comparisons, not n
         n, k = 100, 5
-        ctx = _ctx(True)
+        ctx = _ctx()
         TopKSortOp([0], k).run(ctx, 0, [[(i,) for i in range(n)]])
         cost = ctx.config.cost
         expected = (n * cost.tuple_cpu_us
@@ -260,25 +283,14 @@ class TestCostModelAndCounters:
     def test_batched_steps_counter(self):
         counter = get_registry().counter("agg.batched_steps")
         before = counter.value
-        ctx = _ctx(True)
+        ctx = _ctx()
         op = AggregateOp(_aggs())
         op.prepare(ctx.config)
         op.run(ctx, 0, [[(i, i, i) for i in range(10)]])
         assert counter.value - before == 10 * 3
 
-    def test_unbatched_does_not_tick_counter(self):
-        counter = get_registry().counter("agg.batched_steps")
-        before = counter.value
-        ctx = _ctx(False)
-        op = AggregateOp(_aggs())
-        op.prepare(ctx.config)
-        op.run(ctx, 0, [[(i, i, i) for i in range(10)]])
-        assert counter.value == before
-
     def test_merge_connector_key_cache_hits(self):
         class Ctx:
-            batch_execution = True
-
             def charge_network(self, n):
                 pass
 

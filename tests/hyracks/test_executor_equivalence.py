@@ -1,17 +1,14 @@
-"""Serial / parallel / pipelined executor equivalence (ISSUE-2, ISSUE-6).
+"""Serial / parallel executor equivalence (ISSUE-2).
 
-The pipelined, parallel executor must be *observably identical* to the
-serial materialize-everything executor in every dimension except
-wall-clock time: result tuples (including order), the simulated clock
-(``profile.simulated_us``), and per-operator tuple counts.  Every job
-shape that exercises a distinct code path runs here under every executor
-variant and is compared field by field against the serial,
-non-pipelined baseline.
+The parallel executor must be *observably identical* to the serial one
+in every dimension except wall-clock time: result tuples (including
+order), the simulated clock (``profile.simulated_us``), per-operator
+tuple counts and costs, and connector traffic.  Every job shape that
+exercises a distinct code path runs here under both modes and is
+compared field by field.
 
-ISSUE-6 adds per-job expression compilation
-(``ExecutorConfig.compile_expressions``); the interpreted variants here
-pin its invariant: compiled and interpreted execution are byte-identical
-in everything but wall-clock time.
+Identical is not the same as right: the SQL++ cases are also checked
+against the independent reference evaluator in tests/reference.py.
 """
 
 from repro import connect
@@ -27,6 +24,7 @@ from repro.hyracks import (
     OneToOneConnector,
     build_stages,
 )
+from repro.hyracks.executor import make_worker_pool
 from repro.hyracks.operators import (
     AssignOp,
     DatasetScanOp,
@@ -42,26 +40,11 @@ from repro.hyracks.operators import (
     SelectOp,
     UnnestOp,
 )
+from tests.reference import assert_same_rows, reference_rows
 
 VARIANTS = [
-    ("serial", ExecutorConfig(mode="serial", pipelining=False)),
-    ("serial-pipelined", ExecutorConfig(mode="serial", pipelining=True)),
-    ("parallel", ExecutorConfig(mode="parallel", pipelining=False)),
-    ("parallel-pipelined", ExecutorConfig(mode="parallel", pipelining=True)),
-    ("serial-interpreted",
-     ExecutorConfig(mode="serial", pipelining=False,
-                    compile_expressions=False)),
-    ("parallel-interpreted",
-     ExecutorConfig(mode="parallel", pipelining=True,
-                    compile_expressions=False)),
-    # ISSUE-7: batched frame-at-a-time execution off — the per-tuple
-    # reference paths must match the batched default byte for byte
-    ("serial-unbatched",
-     ExecutorConfig(mode="serial", pipelining=False,
-                    batch_execution=False)),
-    ("parallel-unbatched",
-     ExecutorConfig(mode="parallel", pipelining=True,
-                    batch_execution=False)),
+    ("serial", ExecutorConfig(mode="serial")),
+    ("parallel", ExecutorConfig(mode="parallel")),
 ]
 
 
@@ -157,8 +140,7 @@ class TestStreamingChains:
         assert baseline["tuples"]
 
     def test_fused_chain_charges_like_serial(self, tmp_path):
-        """A long 1:1 streaming chain is one stage when pipelining, yet
-        the costs must be identical anyway."""
+        """A long 1:1 streaming chain fused into one stage."""
         data = [(i,) for i in range(300)]
         run_all_variants(tmp_path, lambda cluster: chain(
             InMemorySourceOp(data),
@@ -232,20 +214,26 @@ class TestDatasetScans:
 
 class TestSqlppEquivalence:
     """Full-stack equivalence: SQL++ through the optimizer, with a
-    secondary-index scan, under each executor variant."""
+    secondary-index scan, under each executor variant — and against the
+    reference evaluator."""
 
     DDL = """
         CREATE TYPE ItemType AS { id: int, cat: string, price: int };
         CREATE DATASET Items(ItemType) PRIMARY KEY id;
         CREATE INDEX byCat ON Items(cat);
     """
+    ITEMS = [{"id": i, "cat": "c%d" % (i % 5), "price": i * 13 % 1000}
+             for i in range(120)]
+    #: (query, whether its ORDER BY is total); prices are pairwise
+    #: distinct (13 is invertible mod 1000)
     QUERIES = [
-        "SELECT VALUE i.id FROM Items i WHERE i.cat = 'c3';",
-        "SELECT cat, COUNT(*) AS n FROM Items i "
-        "GROUP BY i.cat AS cat ORDER BY cat;",
-        "SELECT VALUE i.price FROM Items i ORDER BY i.price DESC LIMIT 7;",
-        "SELECT a.id AS x, b.id AS y FROM Items a, Items b "
-        "WHERE a.id = b.id AND a.price > 900 ORDER BY x;",
+        ("SELECT VALUE i.id FROM Items i WHERE i.cat = 'c3';", False),
+        ("SELECT cat, COUNT(*) AS n FROM Items i "
+         "GROUP BY i.cat AS cat ORDER BY cat;", True),
+        ("SELECT VALUE i.price FROM Items i "
+         "ORDER BY i.price DESC LIMIT 7;", True),
+        ("SELECT a.id AS x, b.id AS y FROM Items a, Items b "
+         "WHERE a.id = b.id AND a.price > 900 ORDER BY x;", True),
     ]
 
     def _observed(self, tmp_path, name, executor):
@@ -253,13 +241,18 @@ class TestSqlppEquivalence:
         out = []
         with connect(str(tmp_path / name), config) as db:
             db.execute(self.DDL)
-            for i in range(120):
-                db.execute(
-                    'INSERT INTO Items ({"id": %d, "cat": "c%d", '
-                    '"price": %d});' % (i, i % 5, i * 13 % 1000))
+            for item in self.ITEMS:
+                db.execute('INSERT INTO Items ({"id": %d, "cat": "%s", '
+                           '"price": %d});'
+                           % (item["id"], item["cat"], item["price"]))
             db.flush_dataset("Items")
-            for query in self.QUERIES:
+            for query, total in self.QUERIES:
                 result = db.execute(query)
+                assert_same_rows(
+                    result.rows,
+                    reference_rows(query, {"Items": self.ITEMS},
+                                   db.metadata),
+                    ordered=total)
                 out.append((result.rows, result.profile.simulated_us))
         return out
 
@@ -281,11 +274,11 @@ class TestStagePlanning:
         job.validate()
         # at width 1, source+select+project all match and fuse; the
         # result writer is a breaker and gets its own stage
-        stages = build_stages(job, num_partitions=1, pipelining=True)
+        stages = build_stages(job, num_partitions=1)
         assert [len(s.op_ids) for s in stages] == [3, 1]
         # at width 4 the width-1 source can't fuse with the full-width
         # select, but select+project still do
-        stages = build_stages(job, num_partitions=4, pipelining=True)
+        stages = build_stages(job, num_partitions=4)
         assert [len(s.op_ids) for s in stages] == [1, 2, 1]
 
     def test_width_change_breaks_fusion(self):
@@ -296,18 +289,8 @@ class TestStagePlanning:
             (OneToOneConnector(), ResultWriterOp()),
         )
         job.validate()
-        stages = build_stages(job, num_partitions=4, pipelining=True)
+        stages = build_stages(job, num_partitions=4)
         assert [len(s.op_ids) for s in stages] == [2, 1, 1]
-
-    def test_pipelining_off_means_one_stage_per_operator(self):
-        job = chain(
-            InMemorySourceOp([(1,)]),
-            (OneToOneConnector(), SelectOp(Const(True))),
-            (OneToOneConnector(), ResultWriterOp()),
-        )
-        job.validate()
-        stages = build_stages(job, num_partitions=4, pipelining=False)
-        assert [len(s.op_ids) for s in stages] == [1, 1, 1]
 
     def test_breakers_declare_themselves(self):
         assert not ExternalSortOp([0]).streaming
@@ -324,7 +307,7 @@ class TestGovernorEquivalence:
     per-operator defaults — must change nothing observable.  Grants
     charge no simulated time and an uncontended request receives its
     full ask, so results, tuple counts, and the simulated clock stay
-    byte-identical across every executor variant and both sizings."""
+    byte-identical across both executor modes and both sizings."""
 
     def _observe(self, tmp_path, name, executor, frames):
         config = make_config(executor)
@@ -360,30 +343,34 @@ class TestGovernorEquivalence:
 
 class TestExecutorKnobs:
     def test_default_mode_is_parallel_pipelined(self):
-        config = ClusterConfig()
-        assert config.executor.parallel
-        assert config.executor.pipelining
+        import dataclasses
+
+        assert ClusterConfig().executor.parallel
+        # pipelined + compiled + batched is the only path: no other knob
+        assert [f.name for f in dataclasses.fields(ExecutorConfig)] \
+            == ["mode"]
 
     def test_worker_pool_sizing(self, tmp_path):
-        config = make_config(ExecutorConfig(workers=3))
-        cluster = ClusterController(str(tmp_path / "c"), config)
+        pool = make_worker_pool(ClusterConfig(num_nodes=3))
         try:
-            pool = cluster.worker_pool()
-            assert pool._max_workers == 3
-            assert pool is cluster.worker_pool()   # cached
+            assert pool._max_workers == 3      # one worker per node
+        finally:
+            pool.shutdown()
+        cluster = ClusterController(str(tmp_path / "c"),
+                                    make_config(ExecutorConfig()))
+        try:
+            assert cluster.worker_pool() is cluster.worker_pool()  # cached
         finally:
             cluster.close()
 
     def test_config_round_trips_through_instance_marker(self, tmp_path):
-        config = make_config(ExecutorConfig(mode="serial", workers=2,
-                                            pipelining=False))
+        config = make_config(ExecutorConfig(mode="serial"))
         base = str(tmp_path / "db")
         with connect(base, config):
             pass
         with connect(base) as db:   # reopen: config comes from the marker
-            executor = db.cluster.config.executor
-            assert (executor.mode, executor.workers, executor.pipelining) \
-                == ("serial", 2, False)
+            assert db.cluster.config.executor.mode == "serial"
+            assert db.cluster.config.frame_size == 16
 
     def test_pipeline_metrics_emitted(self, tmp_path):
         from repro.observability.metrics import get_registry
@@ -394,7 +381,7 @@ class TestExecutorKnobs:
         # single partition so the width-1 source fuses with the select
         config = ClusterConfig(
             num_nodes=1, partitions_per_node=1, frame_size=16,
-            executor=ExecutorConfig(mode="serial", pipelining=True))
+            executor=ExecutorConfig(mode="serial"))
         cluster = ClusterController(str(tmp_path / "m"), config)
         try:
             job = chain(

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adm.values import MISSING, Multiset
-from repro.common.config import ClusterConfig, ExecutorConfig, NodeConfig
+from repro.common.config import ClusterConfig, NodeConfig
 from repro.hyracks import (
     ClusterController,
     ColumnRef,
@@ -215,11 +215,10 @@ class TestKeyCache:
         assert (cache.hits, cache.misses) == (0, 0)
 
 
-def _config(**executor_kwargs):
+def _config():
     return ClusterConfig(
         num_nodes=1, partitions_per_node=2,
         node=NodeConfig(buffer_cache_pages=64),
-        executor=ExecutorConfig(**executor_kwargs),
     )
 
 
@@ -266,25 +265,6 @@ class TestJobCompilation:
         # the partitioning connectors canonicalized every routed tuple;
         # the join's build/probe reused those bytes through the job cache
         assert cache_hits.value - h0 > 0
-
-    def test_toggle_off_compiles_nothing_same_results(self, tmp_path):
-        registry = get_registry()
-        jobs = registry.counter("expr.compile_jobs")
-        j0 = jobs.value
-        cluster = ClusterController(
-            str(tmp_path / "off"), _config(compile_expressions=False))
-        try:
-            off = cluster.run_job(_join_job())
-        finally:
-            cluster.close()
-        assert jobs.value == j0
-        cluster = ClusterController(str(tmp_path / "on"), _config())
-        try:
-            on = cluster.run_job(_join_job())
-        finally:
-            cluster.close()
-        assert list(off.tuples) == list(on.tuples)
-        assert off.profile.simulated_us == on.profile.simulated_us
 
     def test_expr_size_counts_nodes(self):
         expr = FunctionCall("eq", [ColumnRef(0), Const(1)])

@@ -30,7 +30,7 @@ from repro.hyracks.operators import (
     ResultWriterOp,
 )
 from repro.hyracks.operators.base import TaskContext
-from repro.hyracks.operators.sort import order_key
+from repro.hyracks.operators.sort import compile_order_key
 from repro.hyracks.profiler import PartitionCost
 from repro.hyracks.runfile import RunFileWriter
 from repro.observability.metrics import get_registry
@@ -222,8 +222,7 @@ class TestMergeSchedule:
             for i in range(50):
                 writer.write((r * 50 + i,))
             runs.append(writer.finish())
-        key = lambda t: order_key(t, [0], [False])  # noqa: E731
-        it = op._merge_iter(ctx, runs, key)
+        it = op._merge_iter(ctx, runs, compile_order_key([0], [False]))
         assert next(it) == (0,)
         it.close()                          # LIMIT abandons the merge
         assert no_temp_files(cluster)
@@ -240,8 +239,8 @@ def spill_config(executor=None, injector=None):
 
 
 EXECUTORS = [
-    ExecutorConfig(mode="serial", pipelining=False),
-    ExecutorConfig(mode="parallel", pipelining=True),
+    ExecutorConfig(mode="serial"),
+    ExecutorConfig(mode="parallel"),
 ]
 
 

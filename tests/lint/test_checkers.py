@@ -9,7 +9,6 @@ import textwrap
 from tools.lint.checkers import (
     CHECKERS,
     check_node_lock,
-    check_per_tuple_dispatch,
     check_swallowed_faults,
     check_temp_pairing,
     check_unused_imports,
@@ -473,97 +472,10 @@ class TestTempPairing:
         assert lint_source(source, "tools/bench_runner.py") == []
 
 
-class TestPerTupleDispatch:
-    OP_PATH = "src/repro/hyracks/operators/group.py"
-
-    def test_flags_step_in_loop(self):
-        findings = lint(
-            """
-            def fold(states, data):
-                for tup in data:
-                    for state in states:
-                        state.step(tup)
-            """,
-            self.OP_PATH,
-        )
-        assert rules(findings) == ["per-tuple"]
-        (finding,) = findings
-        assert "step_many" in finding.message
-        assert finding.line == 5
-
-    def test_flags_order_key_in_loop(self):
-        findings = lint(
-            """
-            def keys(data, fields, desc):
-                out = []
-                for tup in data:
-                    out.append(order_key(tup, fields, desc))
-                return out
-            """,
-            "src/repro/hyracks/operators/sort.py",
-        )
-        assert rules(findings) == ["per-tuple"]
-
-    def test_batched_forms_pass(self):
-        findings = lint(
-            """
-            def fold(state, call, frame):
-                state.step_many(call.evaluate_many(frame))
-
-            def keys(data, fields, desc):
-                key = compile_order_key(fields, desc, data)
-                return [key(t) for t in data]
-            """,
-            self.OP_PATH,
-        )
-        assert rules(findings) == []
-
-    def test_step_outside_loop_passes(self):
-        findings = lint(
-            """
-            def one(state, value):
-                state.step(value)
-            """,
-            self.OP_PATH,
-        )
-        assert rules(findings) == []
-
-    def test_suppression_comment(self):
-        findings = lint(
-            """
-            def fold(states, data):
-                for tup in data:
-                    for state in states:
-                        state.step(tup)   # lint: allow-per-tuple
-            """,
-            self.OP_PATH,
-        )
-        assert rules(findings) == []
-
-    def test_not_scoped_outside_hyracks(self):
-        source = ("def fold(states, data):\n"
-                  "    for tup in data:\n"
-                  "        for s in states:\n"
-                  "            s.step(tup)\n")
-        assert lint_source(source, "src/repro/functions/aggregates.py") == []
-
-    def test_nested_loop_reports_once(self):
-        findings = lint(
-            """
-            def fold(groups):
-                for frame in groups:
-                    for tup in frame:
-                        state.step(tup)
-            """,
-            self.OP_PATH,
-        )
-        assert rules(findings) == ["per-tuple"]
-
-
 class TestRegistry:
     def test_at_least_three_project_checkers(self):
         project = {check_wallclock, check_node_lock, check_swallowed_faults,
-                   check_temp_pairing, check_per_tuple_dispatch}
+                   check_temp_pairing}
         registered = {checker for checker, _ in CHECKERS}
         assert project <= registered
         assert check_unused_imports in registered

@@ -4,8 +4,8 @@
 Runs a small suite of end-to-end workloads against the embedded instance
 and writes a JSON report (default ``BENCH_PR7.json``) with, for each
 benchmark, wall-clock seconds and the simulated-clock microseconds, plus
-a head-to-head of the serial materialize-everything executor against the
-pipelined parallel one on a scan/sort-heavy multi-partition job, a
+a head-to-head of the serial executor against the parallel one on a
+scan/sort-heavy multi-partition job, a
 fault-free vs fault-injected comparison of the same query+ingest
 workload (the resilience tax: retries, a node restart with WAL replay,
 and simulated backoff, with results verified identical), and a
@@ -125,97 +125,6 @@ def run_query_benchmarks(base_dir: str, quick: bool) -> list:
                 "rows": rows,
             })
     return results
-
-
-def run_expression_compile(base_dir: str, quick: bool) -> dict:
-    """The join_groupby workload with per-job expression compilation on
-    vs off (``ExecutorConfig.compile_expressions``).  Results must be
-    identical — only wall-clock may differ (docs/PERFORMANCE.md)."""
-    n_users = 200 if quick else 1000
-    n_messages = 1000 if quick else 8000
-    repeats = 2 if quick else 3
-    _, query = QUERY_BENCHMARKS[-1]     # join_groupby
-    walls = {}
-    rows = {}
-    for label, toggle in (("compiled", True), ("interpreted", False)):
-        config = ClusterConfig(
-            num_nodes=2, partitions_per_node=2,
-            node=NodeConfig(buffer_cache_pages=256),
-            executor=ExecutorConfig(compile_expressions=toggle),
-        )
-        path = os.path.join(base_dir, f"exprc_{label}")
-        with connect(path, config) as db:
-            db.execute(SCHEMA)
-            load_data(db, n_users, n_messages)
-            best = None
-            for _ in range(repeats):
-                started = time.perf_counter()
-                result = db.execute(query)
-                wall = time.perf_counter() - started
-                best = wall if best is None else min(best, wall)
-            walls[label] = best
-            rows[label] = list(result.rows)
-    assert rows["compiled"] == rows["interpreted"], \
-        "compiled and interpreted runs disagree"
-    return {
-        "query": "join_groupby",
-        "compiled_wall_seconds": round(walls["compiled"], 6),
-        "interpreted_wall_seconds": round(walls["interpreted"], 6),
-        "speedup": round(walls["interpreted"] / max(walls["compiled"], 1e-9),
-                         3),
-        "results_identical": True,
-    }
-
-
-def run_batch_execution(base_dir: str, quick: bool) -> dict:
-    """The sort_heavy and group_heavy workloads with frame-at-a-time
-    batched execution on vs off (``ExecutorConfig.batch_execution``).
-    Results and the simulated clock must be identical — only wall-clock
-    may differ (docs/PERFORMANCE.md, "Batched execution")."""
-    n_users = 200 if quick else 1000
-    n_messages = 1000 if quick else 8000
-    repeats = 2 if quick else 3
-    queries = dict(QUERY_BENCHMARKS)
-    out = {}
-    observed: dict = {"batched": {}, "per_tuple": {}}
-    for label, toggle in (("batched", True), ("per_tuple", False)):
-        config = ClusterConfig(
-            num_nodes=2, partitions_per_node=2,
-            node=NodeConfig(buffer_cache_pages=256),
-            executor=ExecutorConfig(batch_execution=toggle),
-        )
-        path = os.path.join(base_dir, f"batch_{label}")
-        with connect(path, config) as db:
-            db.execute(SCHEMA)
-            load_data(db, n_users, n_messages)
-            for name in ("sort_heavy", "group_heavy"):
-                best = None
-                for _ in range(repeats):
-                    started = time.perf_counter()
-                    result = db.execute(queries[name])
-                    wall = time.perf_counter() - started
-                    best = wall if best is None else min(best, wall)
-                observed[label][name] = {
-                    "wall": best,
-                    "rows": list(result.rows),
-                    "simulated_us": result.profile.simulated_us,
-                }
-    for name in ("sort_heavy", "group_heavy"):
-        batched = observed["batched"][name]
-        per_tuple = observed["per_tuple"][name]
-        assert batched["rows"] == per_tuple["rows"], \
-            f"{name}: batched and per-tuple runs disagree"
-        assert batched["simulated_us"] == per_tuple["simulated_us"], \
-            f"{name}: batched run changed the simulated clock"
-        out[name] = {
-            "batched_wall_seconds": round(batched["wall"], 6),
-            "per_tuple_wall_seconds": round(per_tuple["wall"], 6),
-            "speedup": round(
-                per_tuple["wall"] / max(batched["wall"], 1e-9), 3),
-            "identical_results": True,
-            "identical_simulated_us": True,
-        }
-    return out
 
 
 def run_serial_vs_parallel(base_dir: str, quick: bool) -> dict:
@@ -631,8 +540,6 @@ def main(argv=None) -> int:
     try:
         started = time.perf_counter()
         benchmarks = run_query_benchmarks(base_dir, args.quick)
-        expression_compile = run_expression_compile(base_dir, args.quick)
-        batch_execution = run_batch_execution(base_dir, args.quick)
         comparison = run_serial_vs_parallel(base_dir, args.quick)
         fault_overhead = run_fault_overhead(base_dir, args.quick)
         memory_pressure = run_memory_pressure(base_dir, args.quick)
@@ -641,8 +548,6 @@ def main(argv=None) -> int:
         report = {
             "mode": "quick" if args.quick else "full",
             "benchmarks": benchmarks,
-            "expression_compile": expression_compile,
-            "batch_execution": batch_execution,
             "serial_vs_parallel": comparison,
             "fault_overhead": fault_overhead,
             "memory_pressure": memory_pressure,
@@ -670,15 +575,6 @@ def main(argv=None) -> int:
     for bench in benchmarks:
         print(f"  {bench['name']:<24} wall {bench['wall_seconds']*1e3:8.2f} ms"
               f"   simulated {bench['simulated_us']/1e3:10.2f} ms")
-    print(f"  expression compile: "
-          f"{expression_compile['compiled_wall_seconds']*1e3:.2f} ms compiled"
-          f" vs {expression_compile['interpreted_wall_seconds']*1e3:.2f} ms "
-          f"interpreted ({expression_compile['speedup']}x)")
-    for name, row in batch_execution.items():
-        print(f"  batch execution ({name}): "
-              f"{row['batched_wall_seconds']*1e3:.2f} ms batched vs "
-              f"{row['per_tuple_wall_seconds']*1e3:.2f} ms per-tuple "
-              f"({row['speedup']}x)")
     print(f"  serial vs parallel: {comparison['serial_wall_seconds']*1e3:.2f}"
           f" ms vs {comparison['parallel_wall_seconds']*1e3:.2f} ms"
           f"  (speedup {comparison['speedup']}x)")

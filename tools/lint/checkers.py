@@ -282,57 +282,6 @@ def check_temp_pairing(path: str, tree: ast.AST, source_lines) -> list:
     return findings
 
 
-# --- checker: no per-tuple dispatch in the operator runtime -----------------
-
-def _per_tuple_calls(loop: ast.AST):
-    """Calls inside ``loop``'s body that dispatch per tuple: any
-    ``<x>.step(...)`` (the batched fold is ``step_many``) or
-    ``order_key(...)`` (the batched form is ``compile_order_key``),
-    excluding nested loops — the inner loop reports them itself."""
-    stack = list(loop.body) + list(loop.orelse)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.For, ast.While, ast.FunctionDef,
-                             ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "step":
-                yield node, "AggregateState.step"
-            elif isinstance(func, ast.Name) and func.id == "order_key":
-                yield node, "order_key"
-            elif isinstance(func, ast.Attribute) \
-                    and func.attr == "order_key":
-                yield node, "order_key"
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def check_per_tuple_dispatch(path: str, tree: ast.AST, source_lines) -> list:
-    """per-tuple: a ``for``/``while`` loop in the operator runtime calling
-    ``AggregateState.step`` or ``order_key`` once per iteration — use the
-    batched ``step_many`` / ``compile_order_key`` forms (ISSUE-7).  The
-    per-tuple reference paths kept for the ``batch_execution=False``
-    toggle suppress with ``# lint: allow-per-tuple``."""
-    findings = []
-    seen = set()
-    for loop in ast.walk(tree):
-        if not isinstance(loop, (ast.For, ast.While)):
-            continue
-        for call, what in _per_tuple_calls(loop):
-            spot = (call.lineno, call.col_offset)
-            if spot in seen:
-                continue
-            seen.add(spot)
-            if _allowed(source_lines, call.lineno, "per-tuple"):
-                continue
-            findings.append(Finding(
-                path, call.lineno, call.col_offset, "per-tuple",
-                f"{what} called once per loop iteration; batch the frame "
-                f"through step_many/compile_order_key instead",
-            ))
-    return findings
-
-
 # --- checker: unused module-level imports -----------------------------------
 
 def check_unused_imports(path: str, tree: ast.AST, source_lines) -> list:
@@ -388,7 +337,6 @@ CHECKERS = (
     (check_temp_pairing, ("src/repro/hyracks/", "src/repro/storage/")),
     (check_swallowed_faults, ()),
     (check_unused_imports, ()),
-    (check_per_tuple_dispatch, ("src/repro/hyracks/",)),
 )
 
 
