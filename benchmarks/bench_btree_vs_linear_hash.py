@@ -23,9 +23,10 @@ import random
 import pytest
 
 from repro.adm import serialize
-from repro.storage import BTree, LinearHashIndex
+from repro.storage import BTree
 
 from conftest import print_table
+from zoo.linear_hash import LinearHashIndex
 
 N_KEYS = 12_000
 VALUE = serialize({"payload": "x" * 40})

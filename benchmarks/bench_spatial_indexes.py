@@ -27,11 +27,11 @@ import pytest
 
 from repro.adm import APoint, ARectangle
 from repro.datagen import GleambookGenerator
-from repro.index import make_spatial_index
 from repro.storage.dataset_storage import PartitionStorage
 from repro.storage.lsm import NoMergePolicy
 
 from conftest import print_table
+from zoo import make_spatial_index
 
 N_POINTS = 6000
 BOUNDS = (0.0, 0.0, 100.0, 100.0)

@@ -1,14 +1,15 @@
-"""Spatial access-method zoo (experiment E1) and key linearizations."""
+"""Experiment-only structures: the spatial access-method zoo and key
+linearizations (E1), and Linear Hashing (E2, ``zoo.linear_hash``)."""
 
-from repro.index.grid import GridScheme
-from repro.index.linearization import (
+from zoo.grid import GridScheme
+from zoo.linearization import (
     KeySpace,
     hilbert_key,
     hilbert_ranges,
     zorder_key,
     zorder_ranges,
 )
-from repro.index.spatial_adapters import (
+from zoo.spatial_adapters import (
     GridSpatialIndex,
     HilbertSpatialIndex,
     RTreeSpatialIndex,

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.adm.values import APoint, ARectangle
-from repro.index.grid import GridScheme
-from repro.index.linearization import (
+from zoo.grid import GridScheme
+from zoo.linearization import (
     KeySpace,
     hilbert_key,
     hilbert_ranges,

@@ -81,13 +81,6 @@ class MetadataView:
         return None
 
 
-# --- rule helpers -------------------------------------------------------------
-
-def _replace_inputs(op: LogicalOp, new_inputs: list) -> LogicalOp:
-    op.inputs = new_inputs
-    return op
-
-
 # --- individual rules ------------------------------------------------------------
 
 def rule_fold_constants(op: LogicalOp, ctx) -> tuple[LogicalOp, bool]:

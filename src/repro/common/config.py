@@ -68,12 +68,6 @@ class NodeConfig:
     #: under real thread concurrency, so this is a wall-clock knob; it
     #: never touches the simulated clock.
     admission_timeout_ms: float = 2000.0
-    #: Emulated device latency added to every physical page read/write, in
-    #: *real* microseconds (a ``time.sleep`` that releases the GIL).  Zero
-    #: by default; benchmarks raise it to make the wall-clock behave like a
-    #: spinning disk so I/O overlap across nodes becomes measurable.  It
-    #: never affects the simulated clock.
-    io_latency_us: float = 0.0
 
 
 @dataclass

@@ -105,8 +105,7 @@ class NodeController:
         #: exact same operation sequence as under the serial executor.
         self.lock = threading.RLock()
         self.devices = [
-            IODevice(d, os.path.join(root, f"iodevice{d}"),
-                     latency_us=config.node.io_latency_us)
+            IODevice(d, os.path.join(root, f"iodevice{d}"))
             for d in range(config.node.num_io_devices)
         ]
         self.fm = FileManager(self.devices, config.page_size,

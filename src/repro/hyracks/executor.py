@@ -28,9 +28,8 @@ follows Hyracks:
   file manager, LSM partitions), so each node observes the exact same
   operation sequence as the serial executor and the simulated clock,
   result tuples, and tuple counts are byte-identical in both modes.
-  Real page-file I/O (plus the optional emulated device latency,
-  ``NodeConfig.io_latency_us``) releases the GIL, so scan/sort/join-heavy
-  jobs overlap I/O across nodes.
+  Real page-file I/O releases the GIL, so scan/sort/join-heavy jobs
+  overlap I/O across nodes.
 
 Wall-clock time is the only thing the modes are allowed to disagree on.
 """

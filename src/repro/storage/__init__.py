@@ -5,7 +5,6 @@ from repro.storage.btree import BTree
 from repro.storage.buffer_cache import BufferCache, CacheStats, CachedPage
 from repro.storage.file_manager import FileHandle, FileManager
 from repro.storage.iodevice import IODevice, IOStats
-from repro.storage.linear_hash import LinearHashIndex
 from repro.storage.mem import MemBTree, MemRTree
 from repro.storage.rtree import RTree
 
@@ -19,7 +18,6 @@ __all__ = [
     "FileManager",
     "IODevice",
     "IOStats",
-    "LinearHashIndex",
     "MemBTree",
     "MemRTree",
     "RTree",

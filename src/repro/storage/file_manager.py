@@ -10,7 +10,6 @@ directly.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 
 from repro.common.errors import StorageError
@@ -138,8 +137,6 @@ class FileManager:
             handle.device.stats.seq_reads += 1
         else:
             handle.device.stats.reads += 1
-        if handle.device.latency_us:
-            time.sleep(handle.device.latency_us / 1e6)
         buf = bytearray(self.page_size)
         buf[: len(data)] = data
         return buf
@@ -162,8 +159,6 @@ class FileManager:
             handle.device.stats.seq_writes += 1
         else:
             handle.device.stats.writes += 1
-        if handle.device.latency_us:
-            time.sleep(handle.device.latency_us / 1e6)
         if page_no >= handle.num_pages:
             handle.num_pages = page_no + 1
 
@@ -175,11 +170,3 @@ class FileManager:
 
     def sync(self, handle: FileHandle) -> None:
         handle._fd.flush()
-
-    # -- aggregate stats -----------------------------------------------------
-
-    def io_stats(self):
-        total = None
-        for device in self.devices:
-            total = device.stats if total is None else total + device.stats
-        return total

@@ -54,19 +54,11 @@ class IOStats:
 
 @dataclass
 class IODevice:
-    """One storage device: a directory of page files with I/O accounting.
-
-    ``latency_us`` emulates device latency: when non-zero, every physical
-    page access additionally sleeps that many real microseconds (the sleep
-    releases the GIL, so concurrent tasks on *different* nodes overlap
-    their I/O waits the way a real cluster overlaps disks).  It has no
-    effect on the simulated clock — only on wall-clock time.
-    """
+    """One storage device: a directory of page files with I/O accounting."""
 
     device_id: int
     root: str
     stats: IOStats = field(default_factory=IOStats)
-    latency_us: float = 0.0
 
     def __post_init__(self):
         os.makedirs(self.root, exist_ok=True)

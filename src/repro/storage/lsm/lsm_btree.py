@@ -255,26 +255,6 @@ class LSMBTree:
     def num_disk_components(self) -> int:
         return len(self.components)
 
-    def component_summaries(self) -> list[dict]:
-        out = [
-            {
-                "kind": "memory",
-                "entries": len(self.memory),
-                "bytes": self.memory.bytes_used,
-            }
-        ]
-        for comp in self.components:
-            out.append(
-                {
-                    "kind": "disk",
-                    "id": comp.label(),
-                    "entries": comp.num_entries,
-                    "pages": comp.handle.num_pages,
-                    "lsn": comp.lsn,
-                }
-            )
-        return out
-
     def drop(self) -> None:
         """Delete all files backing this index, bloom sidecars included."""
         import os

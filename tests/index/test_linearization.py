@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.adm import APoint, ARectangle
 from repro.common.errors import InvalidArgumentError
-from repro.index import (
+from zoo import (
     KeySpace,
     hilbert_key,
     hilbert_ranges,

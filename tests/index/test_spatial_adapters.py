@@ -5,9 +5,9 @@ import random
 import pytest
 
 from repro.adm import APoint, ARectangle
-from repro.index import GridScheme, make_spatial_index
 from repro.storage import BufferCache, FileManager, IODevice
 from repro.storage.lsm import NoMergePolicy
+from zoo import GridScheme, make_spatial_index
 
 KINDS = ["rtree", "zorder", "hilbert", "grid"]
 BOUNDS = (0.0, 0.0, 100.0, 100.0)

@@ -469,7 +469,7 @@ class TestTempPairing:
 
     def test_not_scoped_outside_runtime_paths(self):
         source = "def f(ctx):\n    return ctx.make_temp_file('x')\n"
-        assert lint_source(source, "tools/bench_runner.py") == []
+        assert lint_source(source, "tools/chaos_runner.py") == []
 
 
 class TestRegistry:
@@ -483,7 +483,7 @@ class TestRegistry:
     def test_path_scoping(self):
         # a wall-clock call outside every scoped prefix fires nothing
         source = "import time\nX = time.time()\n"
-        assert lint_source(source, "tools/bench_runner.py") == []
+        assert lint_source(source, "tools/chaos_runner.py") == []
 
     def test_findings_are_sorted_and_serializable(self):
         findings = lint(

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import DuplicateKeyError
-from repro.storage import BufferCache, LinearHashIndex
+from repro.storage import BufferCache
+from zoo.linear_hash import LinearHashIndex
 
 
 class TestBasics:

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Docs link checker: fail CI if docs cite paths that no longer exist.
 
-Scans ``docs/*.md`` (plus README.md) for
+Scans ``docs/*.md`` plus README.md, DESIGN.md and EXPERIMENTS.md for
 
 * repo paths — any backtick-quoted or markdown-linked reference that
   looks like ``src/repro/...``, ``repro/...``, ``tests/...``,
-  ``docs/...``, ``examples/...``, ``benchmarks/...`` or ``tools/...`` —
+  ``docs/...``, ``examples/...``, ``benchmarks/...``, ``bench/...`` or
+  ``tools/...`` —
   and verifies the file or directory exists (``repro/...`` resolves
   under ``src/``);
 * relative markdown links (``[text](OBSERVABILITY.md)``) and verifies
@@ -29,7 +30,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 #: directories a cited repo path may start with
 ROOTS = ("src", "repro", "tests", "docs", "examples", "benchmarks",
-         "tools")
+         "bench", "tools")
 
 BACKTICK = re.compile(r"`([^`\n]+)`")
 MDLINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)\)")
@@ -90,7 +91,8 @@ def check_file(doc: Path) -> list[str]:
 
 
 def main() -> int:
-    docs = sorted((REPO / "docs").glob("*.md")) + [REPO / "README.md"]
+    docs = sorted((REPO / "docs").glob("*.md")) + [
+        REPO / "README.md", REPO / "DESIGN.md", REPO / "EXPERIMENTS.md"]
     errors = []
     for doc in docs:
         if doc.exists():
