@@ -188,38 +188,31 @@ class PartitionStorage:
         """Reopen a partition after a crash: the primary and every
         secondary are rebuilt from their LSM manifests (memory components
         are gone; the caller replays the WAL afterwards)."""
-        storage = cls.__new__(cls)
-        storage.fm = fm
-        storage.cache = cache
-        storage.dataset_name = dataset_name
-        storage.partition_id = partition_id
-        storage.pk_fields = tuple(pk_fields)
-        storage.memory_budget_bytes = kwargs.get(
-            "memory_budget_bytes", 256 * 1024)
-        storage.merge_policy = kwargs.get("merge_policy")
-        storage.device_hint = kwargs.get("device_hint", partition_id)
-        storage.validator = None
-        common = dict(
-            memory_budget_bytes=storage.memory_budget_bytes,
-            merge_policy=storage.merge_policy,
-            device_hint=storage.device_hint,
-        )
-        storage.primary = LSMBTree.recover(
-            fm, cache, storage._storage_name("primary"), **common)
-        storage.primary.synopsis_extractor = _record_synopsis_fields
-        storage.secondaries = {}
+        storage = cls(fm, cache, dataset_name, partition_id, pk_fields,
+                      **kwargs)
+        storage.primary.load_manifest()
         for spec in specs:
-            name = storage._storage_name(f"idx_{spec.name}")
-            if spec.kind in ("btree", "array"):
-                index = LSMBTree.recover(fm, cache, name, **common)
-            elif spec.kind == "rtree":
-                index = LSMRTree.recover(fm, cache, name, **common)
-            else:
-                index = LSMInvertedIndex.recover(
-                    fm, cache, name, tokenizer=spec.kind,
-                    gram_length=spec.gram_length, **common)
-            storage.secondaries[spec.name] = (spec, index)
+            storage.secondaries[spec.name] = (
+                spec, storage._open_secondary(spec, recover=True))
         return storage
+
+    def _open_secondary(self, spec: SecondaryIndexSpec, *,
+                        recover: bool = False):
+        """The LSM index backing ``spec``: new, or reopened from its
+        manifest when ``recover``."""
+        extra = {}
+        if spec.kind in ("btree", "array"):
+            cls = LSMBTree
+        elif spec.kind == "rtree":
+            cls = LSMRTree
+        else:
+            cls = LSMInvertedIndex
+            extra = dict(tokenizer=spec.kind, gram_length=spec.gram_length)
+        return (cls.recover if recover else cls)(
+            self.fm, self.cache, self._storage_name(f"idx_{spec.name}"),
+            memory_budget_bytes=self.memory_budget_bytes,
+            merge_policy=self.merge_policy,
+            device_hint=self.device_hint, **extra)
 
     # -- primary key handling ---------------------------------------------------
 
@@ -240,21 +233,7 @@ class PartitionStorage:
                          build: bool = True) -> None:
         if spec.name in self.secondaries:
             raise MetadataError(f"index {spec.name} already exists")
-        name = self._storage_name(f"idx_{spec.name}")
-        common = dict(
-            memory_budget_bytes=self.memory_budget_bytes,
-            merge_policy=self.merge_policy,
-            device_hint=self.device_hint,
-        )
-        if spec.kind in ("btree", "array"):
-            index = LSMBTree(self.fm, self.cache, name, **common)
-        elif spec.kind == "rtree":
-            index = LSMRTree(self.fm, self.cache, name, **common)
-        else:
-            index = LSMInvertedIndex(
-                self.fm, self.cache, name, tokenizer=spec.kind,
-                gram_length=spec.gram_length, **common
-            )
+        index = self._open_secondary(spec)
         self.secondaries[spec.name] = (spec, index)
         if build:
             for pk, raw in self.primary.scan():
@@ -435,20 +414,17 @@ class PartitionStorage:
     # -- lifecycle --------------------------------------------------------------------
 
     def flush_all(self) -> None:
-        self.primary.flush()
-        for _, index in self.secondaries.values():
+        for index in self.indexes():
             index.flush()
+
+    def indexes(self) -> list:
+        """The primary and every secondary LSM index."""
+        return [self.primary, *(i for _, i in self.secondaries.values())]
 
     def durable_lsn(self) -> int:
         """Replay point for recovery: the min durable LSN across the
         primary and all secondaries (anything newer must be replayed)."""
-        lsns = [self.primary.durable_lsn()]
-        for spec, index in self.secondaries.values():
-            if spec.kind in ("keyword", "ngram"):
-                lsns.append(index.btree.durable_lsn())
-            else:
-                lsns.append(index.durable_lsn())
-        return min(lsns)
+        return min(index.durable_lsn() for index in self.indexes())
 
     def count(self) -> int:
         return sum(1 for _ in self.primary.scan())
@@ -465,7 +441,6 @@ class PartitionStorage:
                 self.primary.stats.flushes, self.primary.stats.merges)
 
     def drop(self) -> None:
-        self.primary.drop()
-        for _, index in self.secondaries.values():
+        for index in self.indexes():
             index.drop()
         self.secondaries.clear()

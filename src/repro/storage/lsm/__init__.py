@@ -1,13 +1,7 @@
-"""LSM storage framework: components, merge policies, LSM indexes."""
+"""LSM storage framework: merge policies, the shared lifecycle harness
+and the index kinds that ride it (component encodings live in
+:mod:`repro.storage.lsm.component`)."""
 
-from repro.storage.lsm.component import (
-    ANTIMATTER,
-    MATTER,
-    DiskComponent,
-    LSMStats,
-    decode,
-    encode_matter,
-)
 from repro.storage.lsm.lsm_btree import LSMBTree
 from repro.storage.lsm.lsm_inverted import (
     LSMInvertedIndex,
@@ -23,19 +17,13 @@ from repro.storage.lsm.merge_policy import (
 )
 
 __all__ = [
-    "ANTIMATTER",
-    "MATTER",
     "ConstantMergePolicy",
-    "DiskComponent",
     "LSMBTree",
     "LSMInvertedIndex",
     "LSMRTree",
-    "LSMStats",
     "MergePolicy",
     "NoMergePolicy",
     "PrefixMergePolicy",
-    "decode",
-    "encode_matter",
     "ngram_tokens",
     "word_tokens",
 ]

@@ -52,18 +52,6 @@ class DiskComponent:
     deleted_handle: object = None
     synopsis: object = None       # ComponentSynopsis | None (cost stats)
 
-    @property
-    def min_seq(self) -> int:
-        return self.component_id[0]
-
-    @property
-    def max_seq(self) -> int:
-        return self.component_id[1]
-
-    def label(self) -> str:
-        lo, hi = self.component_id
-        return f"[{lo}]" if lo == hi else f"[{lo}..{hi}]"
-
 
 #: LSMStats fields mirrored into the process-wide metrics registry as
 #: ``lsm.<field>`` counters, aggregated over every LSM index in the

@@ -16,6 +16,8 @@ newest-wins semantics.  A merge policy consolidates disk components.
 from __future__ import annotations
 
 import heapq
+import struct
+from contextlib import suppress
 
 from repro.adm.comparators import order_part
 from repro.common.errors import DuplicateKeyError
@@ -23,38 +25,25 @@ from repro.storage.bloom import BloomFilter
 from repro.storage.btree import BTree
 from repro.storage.buffer_cache import BufferCache
 from repro.storage.file_manager import FileManager
-from repro.storage.lsm.component import (
-    ANTIMATTER,
-    DiskComponent,
-    LSMStats,
-    decode,
-    encode_matter,
-)
-from repro.storage.lsm.merge_policy import MergePolicy, PrefixMergePolicy
+from repro.storage.lsm.component import ANTIMATTER, decode, encode_matter
+from repro.storage.lsm.lsm_index import LSMIndex
 from repro.storage.lsm.synopsis import ComponentSynopsis, SynopsisBuilder
 from repro.storage.mem import MemBTree
 
 
-class LSMBTree:
-    """An LSM-structured B+ tree: composite ADM key -> value bytes."""
+class LSMBTree(LSMIndex):
+    """An LSM-structured B+ tree: composite ADM key -> value bytes.
+
+    Each disk component is a bulk-loaded :class:`BTree` plus a bloom
+    filter persisted beside it as a ``.bloom`` sidecar file."""
+
+    ext = "btree"
 
     def __init__(self, fm: FileManager, cache: BufferCache, name: str, *,
-                 memory_budget_bytes: int = 256 * 1024,
-                 merge_policy: MergePolicy | None = None,
-                 bloom_fpr: float = 0.01,
-                 device_hint: int = 0):
-        self.fm = fm
-        self.cache = cache
-        self.name = name
-        self.memory_budget_bytes = memory_budget_bytes
-        self.merge_policy = merge_policy or PrefixMergePolicy()
+                 bloom_fpr: float = 0.01, **kwargs):
+        super().__init__(fm, cache, name, **kwargs)
         self.bloom_fpr = bloom_fpr
-        self.device_hint = device_hint
         self.memory = MemBTree()
-        self.memory_lsn = 0
-        self.components: list[DiskComponent] = []   # newest first
-        self.stats = LSMStats()
-        self._next_seq = 0
         #: optional ``(key, payload_bytes) -> {path: value} | None`` hook;
         #: when set, flush and merge build a per-component synopsis while
         #: they stream entries (see :mod:`repro.storage.lsm.synopsis`)
@@ -66,7 +55,8 @@ class LSMBTree:
         """Insert or replace; Fig. 3(d)'s UPSERT bottoms out here."""
         self.memory.put(key, encode_matter(value))
         self.memory_lsn = max(self.memory_lsn, lsn)
-        self._maybe_flush()
+        if self.memory.bytes_used >= self.memory_budget_bytes:
+            self.flush()
 
     def insert_unique(self, key, value: bytes, lsn: int = 0) -> None:
         """Primary-index INSERT: duplicate keys are an error."""
@@ -78,9 +68,6 @@ class LSMBTree:
         """Write an antimatter record for ``key``."""
         self.memory.put(key, ANTIMATTER)
         self.memory_lsn = max(self.memory_lsn, lsn)
-        self._maybe_flush()
-
-    def _maybe_flush(self) -> None:
         if self.memory.bytes_used >= self.memory_budget_bytes:
             self.flush()
 
@@ -120,117 +107,70 @@ class LSMBTree:
             )
         yield from _merge_newest_wins(iterators)
 
-    def scan_all(self):
-        return self.scan()
-
     def __len__(self):
         """Exact live-entry count (walks the merged scan)."""
         return sum(1 for _ in self.scan())
 
-    # -- flush ----------------------------------------------------------------------
+    # -- component-kind hooks (see LSMIndex) -----------------------------------
 
-    def flush(self) -> DiskComponent | None:
-        """Seal the memory component into a new disk component."""
-        if len(self.memory) == 0:
-            return None
-        seq = self._next_seq
-        self._next_seq += 1
-        handle = self.fm.create_file(f"{self.name}_c{seq}.btree",
-                                     self.device_hint)
-        bloom = BloomFilter(len(self.memory), self.bloom_fpr)
-        builder = (SynopsisBuilder()
-                   if self.synopsis_extractor is not None else None)
-        items = []
-        for key, raw in self.memory.items():
-            bloom.add(key)
-            items.append((key, raw))
-            if builder is not None:
-                anti, payload = decode(raw)
-                if not anti:
-                    builder.add(self.synopsis_extractor(key, payload))
-        tree = BTree.bulk_load(self.cache, handle, items)
-        comp = DiskComponent(
-            component_id=(seq, seq),
-            index=tree,
-            handle=handle,
-            num_entries=len(items),
-            lsn=self.memory_lsn,
-            bloom=bloom,
-            synopsis=builder.build() if builder is not None else None,
-        )
-        self.components.insert(0, comp)
+    def _memory_empty(self) -> bool:
+        return len(self.memory) == 0
+
+    def _clear_memory(self) -> None:
         self.memory.clear()
-        self.memory_lsn = 0
-        self.stats.flushes += 1
-        self.stats.entries_flushed += len(items)
-        self._save_bloom(handle, bloom)
-        self._maybe_merge()
-        self._save_manifest()
-        return comp
 
-    # -- merge ------------------------------------------------------------------------
+    def _flush_into(self, comp) -> None:
+        self._load(comp, self.memory.items(), len(self.memory))
 
-    def _maybe_merge(self) -> None:
-        selection = self.merge_policy.select(self.components)
-        if selection is not None:
-            self.merge(selection)
+    def _merge_into(self, comp, merged, includes_oldest: bool) -> None:
+        items = _merge_newest_wins([c.index.range_scan() for c in merged],
+                                   keep_antimatter=True)
+        if includes_oldest:   # nothing older left to annihilate
+            items = ((key, raw) for key, raw in items if not decode(raw)[0])
+        self._load(comp, items, sum(c.num_entries for c in merged))
 
-    def merge(self, selection: slice | None = None) -> DiskComponent | None:
-        """Merge a newest-first slice of disk components (default: all)."""
-        if selection is None:
-            selection = slice(0, len(self.components))
-        merged = self.components[selection]
-        if len(merged) < 2:
-            return None
-        includes_oldest = selection.stop >= len(self.components)
-        iterators = [c.index.range_scan() for c in merged]
-        seq_lo = min(c.min_seq for c in merged)
-        seq_hi = max(c.max_seq for c in merged)
-        handle = self.fm.create_file(f"{self.name}_c{seq_lo}-{seq_hi}.btree",
-                                     self.device_hint)
-        expected = sum(c.num_entries for c in merged)
+    def _load(self, comp, items, expected: int) -> None:
+        """Bulk-load ``comp`` from key-sorted (key, raw) items, building its
+        bloom filter (and synopsis, when an extractor is installed) as
+        they stream, then write the bloom sidecar."""
         bloom = BloomFilter(expected, self.bloom_fpr)
+        extract = self.synopsis_extractor
+        builder = SynopsisBuilder() if extract is not None else None
 
-        builder = (SynopsisBuilder()
-                   if self.synopsis_extractor is not None else None)
-
-        def merged_items():
-            for key, raw in _merge_newest_wins(iterators, keep_antimatter=True):
-                anti, payload = decode(raw)
-                if anti and includes_oldest:
-                    continue  # nothing older left to annihilate
+        def indexed():
+            for key, raw in items:
                 bloom.add(key)
-                if builder is not None and not anti:
-                    builder.add(self.synopsis_extractor(key, payload))
+                if builder is not None:
+                    anti, payload = decode(raw)
+                    if not anti:
+                        builder.add(extract(key, payload))
                 yield key, raw
 
-        tree = BTree.bulk_load(self.cache, handle, merged_items())
-        comp = DiskComponent(
-            component_id=(seq_lo, seq_hi),
-            index=tree,
-            handle=handle,
-            num_entries=tree.count,
-            lsn=max(c.lsn for c in merged),
-            bloom=bloom,
-            synopsis=builder.build() if builder is not None else None,
-        )
-        self.components[selection] = [comp]
-        import os
+        comp.index = BTree.bulk_load(self.cache, comp.handle, indexed())
+        comp.num_entries = comp.index.count
+        comp.bloom = bloom
+        comp.synopsis = builder.build() if builder is not None else None
+        with open(comp.handle.path + ".bloom", "wb") as f:
+            f.write(struct.pack(">IIQ", bloom.num_bits, bloom.num_hashes,
+                                bloom.count))
+            f.write(bloom.to_bytes())
 
-        for old in merged:
-            self.cache.evict_file(old.handle)
-            try:
-                os.remove(self._device().path_of(old.handle.rel_path
-                                                 + ".bloom"))
-            except FileNotFoundError:
-                pass
-            self.fm.delete_file(old.handle)
-        self.stats.merges += 1
-        self.stats.merged_components += len(merged)
-        self.stats.entries_merged += tree.count
-        self._save_bloom(handle, bloom)
-        self._save_manifest()
-        return comp
+    def _reopen_into(self, comp, entry: dict) -> None:
+        comp.index = BTree.open(self.cache, comp.handle)
+        comp.synopsis = ComponentSynopsis.from_dict(entry.get("synopsis"))
+        with suppress(FileNotFoundError), \
+                open(comp.handle.path + ".bloom", "rb") as f:
+            num_bits, num_hashes, count = struct.unpack(">IIQ", f.read(16))
+            comp.bloom = BloomFilter.from_state(num_bits, num_hashes, count,
+                                                f.read())
+
+    def _extra_files(self, comp) -> list:
+        return [comp.handle.path + ".bloom"]
+
+    def _manifest_entry(self, comp) -> dict:
+        return {**super()._manifest_entry(comp),
+                "synopsis": (comp.synopsis.to_dict()
+                             if comp.synopsis is not None else None)}
 
     # -- introspection ------------------------------------------------------------------
 
@@ -250,119 +190,6 @@ class LSMBTree:
                     builder.add(self.synopsis_extractor(key, payload))
             parts.append(builder.build())
         return ComponentSynopsis.merge(parts)
-
-    @property
-    def num_disk_components(self) -> int:
-        return len(self.components)
-
-    def drop(self) -> None:
-        """Delete all files backing this index, bloom sidecars included."""
-        import os
-
-        paths = [self._manifest_path()]
-        for comp in self.components:
-            paths.append(self._device().path_of(comp.handle.rel_path
-                                                + ".bloom"))
-            self.cache.evict_file(comp.handle)
-            self.fm.delete_file(comp.handle)
-        self.components.clear()
-        self.memory.clear()
-        for path in paths:
-            try:
-                os.remove(path)
-            except FileNotFoundError:
-                pass
-
-    # -- durability (manifest + bloom sidecars) --------------------------------
-
-    def durable_lsn(self) -> int:
-        """Newest LSN guaranteed durable (max over disk components)."""
-        return max((c.lsn for c in self.components), default=0)
-
-    def _device(self):
-        return self.fm.devices[self.device_hint % len(self.fm.devices)]
-
-    def _manifest_path(self) -> str:
-        return self._device().path_of(f"{self.name}.manifest")
-
-    def _save_manifest(self) -> None:
-        """Persist the component list so the index survives a crash.
-
-        The manifest is tiny metadata (one JSON line per component) written
-        outside the counted page I/O, mirroring AsterixDB's component
-        metadata files."""
-        import json
-
-        entries = [
-            {
-                "file": comp.handle.rel_path,
-                "id": list(comp.component_id),
-                "entries": comp.num_entries,
-                "lsn": comp.lsn,
-                "synopsis": (comp.synopsis.to_dict()
-                             if comp.synopsis is not None else None),
-            }
-            for comp in self.components
-        ]
-        with open(self._manifest_path(), "w") as f:
-            json.dump(entries, f)
-
-    def _save_bloom(self, handle, bloom) -> None:
-        import struct as _struct
-
-        path = self._device().path_of(handle.rel_path + ".bloom")
-        with open(path, "wb") as f:
-            f.write(_struct.pack(">IIQ", bloom.num_bits, bloom.num_hashes,
-                                 bloom.count))
-            f.write(bloom.to_bytes())
-
-    def _load_bloom(self, rel_path: str):
-        import struct as _struct
-
-        path = self._device().path_of(rel_path + ".bloom")
-        try:
-            with open(path, "rb") as f:
-                num_bits, num_hashes, count = _struct.unpack(
-                    ">IIQ", f.read(16)
-                )
-                return BloomFilter.from_state(num_bits, num_hashes, count,
-                                              f.read())
-        except FileNotFoundError:
-            return None
-
-    @classmethod
-    def recover(cls, fm: FileManager, cache: BufferCache, name: str,
-                **kwargs) -> "LSMBTree":
-        """Reopen an index from its manifest after a crash.
-
-        The memory component is gone (that's what the WAL replay restores);
-        disk components are reopened read-only with their persisted blooms
-        and LSNs."""
-        import json
-
-        lsm = cls(fm, cache, name, **kwargs)
-        try:
-            with open(lsm._manifest_path()) as f:
-                entries = json.load(f)
-        except FileNotFoundError:
-            return lsm
-        max_seq = -1
-        for entry in entries:
-            handle = fm.open_file(entry["file"], lsm.device_hint)
-            tree = BTree.open(cache, handle)
-            comp = DiskComponent(
-                component_id=tuple(entry["id"]),
-                index=tree,
-                handle=handle,
-                num_entries=entry["entries"],
-                lsn=entry["lsn"],
-                bloom=lsm._load_bloom(entry["file"]),
-                synopsis=ComponentSynopsis.from_dict(entry.get("synopsis")),
-            )
-            lsm.components.append(comp)
-            max_seq = max(max_seq, comp.max_seq)
-        lsm._next_seq = max_seq + 1
-        return lsm
 
 
 def _merge_newest_wins(iterators, *, keep_antimatter: bool = False):

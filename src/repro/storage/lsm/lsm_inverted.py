@@ -3,10 +3,10 @@
 AsterixDB offers "several variants of inverted keyword indexes" — Fig. 3(a)
 creates one with ``CREATE INDEX ... TYPE KEYWORD`` on the message text.  An
 inverted index maps tokens to the primary keys of the records containing
-them; here the postings are stored in an :class:`LSMBTree` keyed by
-``(token, pk...)``, which gives us flush/merge/antimatter behaviour for
-free and mirrors AsterixDB's "inverted index as a B+ tree of (token, key)"
-physical design.
+them; here the index *is* an :class:`LSMBTree` of postings keyed by
+``(token, pk...)``, which gives it the whole LSM lifecycle (flush, merge,
+antimatter, recovery) for free and mirrors AsterixDB's "inverted index as
+a B+ tree of (token, key)" physical design.
 
 Two tokenizers are provided: word tokens (KEYWORD indexes, conjunctive
 keyword search) and character n-grams (NGRAM indexes, which also power
@@ -21,7 +21,6 @@ import re
 from repro.storage.buffer_cache import BufferCache
 from repro.storage.file_manager import FileManager
 from repro.storage.lsm.lsm_btree import LSMBTree
-from repro.storage.lsm.merge_policy import MergePolicy
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -37,26 +36,16 @@ def ngram_tokens(text: str, n: int = 3) -> set[str]:
     return {padded[i:i + n] for i in range(len(padded) - n + 1)}
 
 
-class LSMInvertedIndex:
-    """Token -> primary-key postings over an LSM B+ tree."""
+class LSMInvertedIndex(LSMBTree):
+    """Token -> primary-key postings: an LSM B+ tree of (token, pk...)."""
 
     def __init__(self, fm: FileManager, cache: BufferCache, name: str, *,
-                 tokenizer: str = "keyword",
-                 gram_length: int = 3,
-                 memory_budget_bytes: int = 256 * 1024,
-                 merge_policy: MergePolicy | None = None,
-                 device_hint: int = 0):
+                 tokenizer: str = "keyword", gram_length: int = 3, **kwargs):
         if tokenizer not in ("keyword", "ngram"):
             raise ValueError(f"unknown tokenizer {tokenizer!r}")
+        super().__init__(fm, cache, name, bloom_fpr=0.05, **kwargs)
         self.tokenizer = tokenizer
         self.gram_length = gram_length
-        self.btree = LSMBTree(
-            fm, cache, name,
-            memory_budget_bytes=memory_budget_bytes,
-            merge_policy=merge_policy,
-            device_hint=device_hint,
-            bloom_fpr=0.05,
-        )
 
     def tokens_of(self, text: str) -> set[str]:
         if self.tokenizer == "keyword":
@@ -67,17 +56,17 @@ class LSMInvertedIndex:
 
     def insert_document(self, text: str, pk: tuple, lsn: int = 0) -> None:
         for token in self.tokens_of(text):
-            self.btree.upsert((token, *pk), b"", lsn)
+            self.upsert((token, *pk), b"", lsn)
 
     def delete_document(self, text: str, pk: tuple, lsn: int = 0) -> None:
         for token in self.tokens_of(text):
-            self.btree.delete((token, *pk), lsn)
+            self.delete((token, *pk), lsn)
 
     # -- search -----------------------------------------------------------------
 
     def search_token(self, token: str):
         """Yield primary-key tuples of documents containing ``token``."""
-        for key, _ in self.btree.scan(lo=(token,), hi=None):
+        for key, _ in self.scan(lo=(token,), hi=None):
             if key[0] != token:
                 return
             yield key[1:]
@@ -114,33 +103,3 @@ class LSMInvertedIndex:
             for pk in self.search_token(gram):
                 counts[pk] = counts.get(pk, 0) + 1
         return sorted(pk for pk, c in counts.items() if c >= threshold)
-
-    # -- plumbing ------------------------------------------------------------------
-
-    @classmethod
-    def recover(cls, fm: FileManager, cache: BufferCache, name: str,
-                **kwargs) -> "LSMInvertedIndex":
-        """Reopen from the postings store's manifest after a crash."""
-        index = cls(fm, cache, name, **kwargs)
-        index.btree = LSMBTree.recover(
-            fm, cache, name,
-            memory_budget_bytes=index.btree.memory_budget_bytes,
-            merge_policy=index.btree.merge_policy,
-            device_hint=index.btree.device_hint,
-            bloom_fpr=0.05,
-        )
-        return index
-
-    def flush(self):
-        return self.btree.flush()
-
-    @property
-    def stats(self):
-        return self.btree.stats
-
-    @property
-    def num_disk_components(self) -> int:
-        return self.btree.num_disk_components
-
-    def drop(self) -> None:
-        self.btree.drop()

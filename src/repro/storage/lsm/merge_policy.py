@@ -22,8 +22,6 @@ class MergePolicy:
     """Strategy interface: given the disk components (newest first), return
     the contiguous newest-first slice to merge, or None."""
 
-    name = "abstract"
-
     def select(self, components: list[DiskComponent]) -> slice | None:
         raise NotImplementedError
 
@@ -34,16 +32,12 @@ class MergePolicy:
 class NoMergePolicy(MergePolicy):
     """Never merge; components accumulate until the index is dropped."""
 
-    name = "no-merge"
-
     def select(self, components):
         return None
 
 
 class ConstantMergePolicy(MergePolicy):
     """Bound the number of disk components; full merge when exceeded."""
-
-    name = "constant"
 
     def __init__(self, num_components: int = 4):
         self.num_components = num_components
@@ -65,8 +59,6 @@ class PrefixMergePolicy(MergePolicy):
     more than ``max_tolerance_count`` components or its total size passes
     ``max_mergable_size``.
     """
-
-    name = "prefix"
 
     def __init__(self, max_mergable_size: int = 100_000,
                  max_tolerance_count: int = 5):

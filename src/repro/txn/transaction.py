@@ -136,6 +136,11 @@ class TransactionalPartition:
         txn = self.txn.begin()
         ds, part = self.storage.dataset_name, self.storage.partition_id
         self.txn.locks.acquire(txn.txn_id, ds, part, pk)
+        # a component flushed by this op holds its uncommitted write: no
+        # manifest may list it before the commit is forced
+        indexes = self.storage.indexes()
+        for index in indexes:
+            index.held = True
         try:
             lsn = self.txn.log.append(LogRecord(
                 LogRecordType.UPDATE, txn_id=txn.txn_id, dataset=ds,
@@ -143,7 +148,6 @@ class TransactionalPartition:
             ))
             result = apply_fn(lsn)
             txn.commit(ds, part, pk)
-            return result
         except BaseException:
             # defensive, idempotent: a fault raised from inside commit's
             # log flush leaves the txn ACTIVE (aborted here); any error
@@ -151,7 +155,14 @@ class TransactionalPartition:
             txn.abort(ds, part, pk)
             raise
         finally:
+            # an abort ends the hold too, writing nothing (the node may
+            # have crashed); the next manifest save catches up
+            for index in indexes:
+                index.held = False
             self.txn.locks.release_all(txn.txn_id)
+        for index in indexes:
+            index.save_deferred()
+        return result
 
     def insert(self, record: dict):
         pk = self.storage.extract_pk(record)

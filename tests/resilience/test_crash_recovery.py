@@ -11,7 +11,8 @@ dataset.
 
 import pytest
 
-from repro.common.config import ClusterConfig
+from repro.adm.values import APoint, ARectangle
+from repro.common.config import ClusterConfig, NodeConfig
 from repro.hyracks.cluster import ClusterController
 from repro.observability.metrics import get_registry
 from repro.resilience import (
@@ -21,6 +22,7 @@ from repro.resilience import (
     NodeCrashFault,
     NodeState,
 )
+from repro.storage.dataset_storage import SecondaryIndexSpec
 
 RECORDS = 6
 
@@ -114,6 +116,63 @@ class TestEveryFlushBoundary:
         cluster.restart_node(0)
         assert cluster.restart_node(0) == 0  # already alive: no-op
         assert [rec["id"] for _, rec in cluster.scan_dataset("Users")] == [1]
+
+
+INDEXED_RECORDS = 40
+
+
+def located(i):
+    return {"id": i, "age": i % 7,
+            "loc": APoint(float(i % 10), float(i // 10))}
+
+
+class TestEveryFlushBoundaryWithLSMIndexes:
+    """The sweep again over a primary with an R-tree and a B+ tree
+    secondary, under a memory budget (one 512-byte page) small enough
+    that components flush and merge inside the insert sequence — so the
+    crash lands between flushes, merges and manifest saves of every
+    index kind, and recovery reopens them all."""
+
+    @pytest.mark.parametrize("crash_at", range(1, INDEXED_RECORDS + 1))
+    def test_scan_and_window_see_the_committed_prefix(self, tmp_path,
+                                                      crash_at):
+        injector = FaultInjector()
+        cluster = ClusterController(
+            str(tmp_path / "cluster"),
+            ClusterConfig(num_nodes=1, partitions_per_node=1, page_size=512,
+                          node=NodeConfig(memory_component_pages=1)),
+            injector=injector,
+        )
+        cluster.create_dataset("Users", ("id",))
+        cluster.create_index("Users", SecondaryIndexSpec(
+            "byLoc", "rtree", ("loc",)))
+        cluster.create_index("Users", SecondaryIndexSpec(
+            "byAge", "btree", ("age",)))
+        crash_at_flush(injector, crash_at)
+        window = ARectangle(APoint(2.0, 0.0), APoint(6.0, 9.0))
+        before = get_registry().snapshot()
+
+        def assert_holds(ids):
+            ps = cluster.nodes[0].get_partition("Users", 0)
+            assert sorted(pk[0] for pk, _ in ps.scan()) == ids
+            assert sorted(pk[0] for pk in ps.search_rtree("byLoc", window)) \
+                == [i for i in ids if 2 <= i % 10 <= 6]
+
+        for i in range(INDEXED_RECORDS):
+            try:
+                cluster.insert_record("Users", located(i))
+            except NodeCrashFault as fault:
+                cluster.handle_fault(fault)
+                assert_holds(list(range(crash_at - 1)))
+                cluster.insert_record("Users", located(i))
+
+        assert_holds(list(range(INDEXED_RECORDS)))
+        delta = get_registry().delta(before)
+        cluster.close()
+        assert delta.get("resilience.node_crashes") == 1
+        # the lifecycle this case exists for really ran
+        assert delta.get("lsm.flushes", 0) >= 10
+        assert delta.get("lsm.merges", 0) >= 1
 
 
 class TestMultiNode:

@@ -1,14 +1,19 @@
 """Tests for the LSM B+ tree: flush, antimatter, merge policies."""
 
+import json
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adm import APoint, ARectangle
 from repro.common.errors import DuplicateKeyError
 from repro.storage import BufferCache
 from repro.storage.lsm import (
     ConstantMergePolicy,
     LSMBTree,
+    LSMRTree,
     NoMergePolicy,
     PrefixMergePolicy,
 )
@@ -201,23 +206,116 @@ class TestNoMergeAccumulates:
         assert lsm.stats.merges == 0
 
 
+class TestManifest:
+    @pytest.mark.parametrize("cls", [LSMBTree, LSMRTree])
+    def test_failed_save_keeps_the_previous_manifest(self, fm, cache,
+                                                     monkeypatch, cls):
+        """A manifest save that dies partway (process killed, disk full)
+        must leave the last good manifest, so recovery still reopens
+        every component it listed."""
+        lsm = cls(fm, cache, "m", memory_budget_bytes=1 << 20,
+                  merge_policy=NoMergePolicy())
+
+        def write(i):
+            if cls is LSMBTree:
+                lsm.upsert((i,), b"v%d" % i)
+            else:
+                p = APoint(float(i), float(i))
+                lsm.insert(ARectangle(p, p), (float(i), float(i), i))
+
+        write(1)
+        lsm.flush()
+        saved = [c.component_id for c in lsm.components]
+
+        def torn_dump(obj, f, **kwargs):
+            f.write('[{"file": "m_c')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        write(2)
+        with pytest.raises(OSError):
+            lsm.flush()
+        monkeypatch.undo()
+
+        again = cls.recover(fm, cache, "m", memory_budget_bytes=1 << 20,
+                            merge_policy=NoMergePolicy())
+        assert [c.component_id for c in again.components] == saved
+        if cls is LSMBTree:
+            assert again.search((1,)) == b"v1"
+        else:
+            box = ARectangle(APoint(0.0, 0.0), APoint(5.0, 5.0))
+            assert list(again.search(box)) == [(1.0, 1.0, 1)]
+
+    def test_held_flush_and_merge_are_saved_later(self, fm, cache):
+        """What a held index (one an open transaction writes) flushes or
+        merges away is not recoverable state until save_deferred, or —
+        after an abort cleared ``held`` — until the next save."""
+        lsm = LSMBTree(fm, cache, "h", memory_budget_bytes=1 << 20,
+                       merge_policy=NoMergePolicy())
+        lsm.upsert((1,), b"a", lsn=1)
+        lsm.flush()
+
+        def listed():
+            return [c.component_id for c in LSMBTree.recover(
+                fm, cache, "h").components]
+
+        lsm.held = True
+        lsm.upsert((2,), b"b", lsn=2)
+        lsm.flush()
+        merged_away = [c.handle for c in lsm.components]
+        lsm.merge()
+        assert listed() == [(0, 0)] and lsm.durable_lsn() == 1
+        assert not any(h.deleted for h in merged_away)
+        lsm.held = False
+        lsm.save_deferred()
+        assert listed() == [(0, 1)] and lsm.durable_lsn() == 2
+        assert all(h.deleted for h in merged_away)
+        lsm.save_deferred()   # nothing left to save: a no-op
+        lsm.held = True       # an aborted op: held cleared, nothing saved
+        lsm.upsert((3,), b"c", lsn=3)
+        lsm.flush()
+        lsm.held = False
+        assert listed() == [(0, 1)]
+        lsm.upsert((4,), b"d")   # a later non-transactional flush
+        lsm.flush()
+        assert listed() == [(3, 3), (2, 2), (0, 1)]
+
+
+def merge_slice(num_components: int, draw: int) -> slice:
+    """A newest-first slice of >= 2 adjacent components picked by
+    ``draw``; one that stops short of the oldest keeps its tombstones."""
+    start = draw % (num_components - 1)
+    return slice(start, start + 2 + draw // 3 % (num_components - start - 1))
+
+
+def assert_dropped(lsm, fm, root):
+    """drop() leaves no open handle and no file named after the index
+    (components, ``.bloom``/``.deleted`` companions, manifest)."""
+    lsm.drop()
+    assert fm.handles_under(lsm.name) == []
+    assert [f for f in os.listdir(root) if f.startswith(lsm.name)] == []
+
+
 @given(
     ops=st.lists(
-        st.tuples(st.sampled_from(["put", "del", "flush"]),
+        st.tuples(st.sampled_from(["put", "del", "flush", "merge",
+                                   "reopen"]),
                   st.integers(0, 25)),
         max_size=60,
     )
 )
 @settings(max_examples=40, deadline=None)
 def test_lsm_matches_dict_model(tmp_path_factory, ops):
-    """Property: LSM upsert/delete/flush/merge behaves like a dict."""
+    """Property: LSM upsert/delete/flush/merge/recover behaves like a
+    dict, and drop() removes every file."""
     from repro.storage import FileManager, IODevice
 
-    root = tmp_path_factory.mktemp("lprop")
-    fm = FileManager([IODevice(0, str(root))], page_size=512)
+    root = str(tmp_path_factory.mktemp("lprop"))
+    fm = FileManager([IODevice(0, root)], page_size=512)
     cache = BufferCache(fm, num_pages=64)
-    lsm = LSMBTree(fm, cache, "t", memory_budget_bytes=1 << 20,
-                   merge_policy=ConstantMergePolicy(2))
+    kwargs = dict(memory_budget_bytes=1 << 20,
+                  merge_policy=ConstantMergePolicy(4))
+    lsm = LSMBTree(fm, cache, "t", **kwargs)
     model = {}
     for op, k in ops:
         if op == "put":
@@ -226,9 +324,19 @@ def test_lsm_matches_dict_model(tmp_path_factory, ops):
         elif op == "del":
             lsm.delete((k,))
             model.pop(k, None)
-        else:
+        elif op == "flush":
             lsm.flush()
+        elif op == "merge":
+            if lsm.num_disk_components >= 2:
+                lsm.merge(merge_slice(lsm.num_disk_components, k))
+        else:                     # restart: reopen from the manifest
+            lsm.flush()
+            fm.close()
+            fm = FileManager([IODevice(0, root)], page_size=512)
+            cache = BufferCache(fm, num_pages=64)
+            lsm = LSMBTree.recover(fm, cache, "t", **kwargs)
     assert [k[0] for k, _ in lsm.scan()] == sorted(model)
     for k in range(26):
         assert lsm.search((k,)) == model.get(k)
+    assert_dropped(lsm, fm, root)
     fm.close()

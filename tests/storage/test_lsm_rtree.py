@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.adm import APoint, ARectangle
 from repro.storage import BufferCache
 from repro.storage.lsm import LSMRTree, NoMergePolicy, ConstantMergePolicy
+from tests.storage.test_lsm_btree import assert_dropped, merge_slice
 
 
 def pt(x, y):
@@ -50,6 +51,7 @@ class TestBasics:
             lsm.insert(pt(i, i), (float(i), float(i), i))
         lsm.delete((3.0, 3.0, 3))
         assert len(lsm) == 9
+        assert lsm.stats.searches == 0   # a count is not a query
 
 
 class TestFlushAndDeletedKeys:
@@ -127,7 +129,7 @@ class TestMerge:
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["ins", "del", "flush"]),
+            st.sampled_from(["ins", "del", "flush", "merge", "reopen"]),
             st.integers(0, 9), st.integers(0, 9),
         ),
         max_size=50,
@@ -137,11 +139,12 @@ class TestMerge:
 def test_lsm_rtree_matches_set_model(tmp_path_factory, ops):
     from repro.storage import FileManager, IODevice
 
-    root = tmp_path_factory.mktemp("rprop")
-    fm = FileManager([IODevice(0, str(root))], page_size=1024)
+    root = str(tmp_path_factory.mktemp("rprop"))
+    fm = FileManager([IODevice(0, root)], page_size=1024)
     cache = BufferCache(fm, num_pages=64)
-    lsm = LSMRTree(fm, cache, "r", memory_budget_bytes=1 << 20,
-                   merge_policy=ConstantMergePolicy(2))
+    kwargs = dict(memory_budget_bytes=1 << 20,
+                  merge_policy=ConstantMergePolicy(4))
+    lsm = LSMRTree(fm, cache, "r", **kwargs)
     model = set()
     for op, x, y in ops:
         key = (float(x), float(y), x * 10 + y)
@@ -151,8 +154,19 @@ def test_lsm_rtree_matches_set_model(tmp_path_factory, ops):
         elif op == "del":
             lsm.delete(key)
             model.discard(key)
-        else:
+        elif op == "flush":
             lsm.flush()
+        elif op == "merge":
+            if lsm.num_disk_components >= 2:
+                lsm.merge(merge_slice(lsm.num_disk_components, x * 10 + y))
+        else:                     # restart: reopen from the manifest
+            lsm.flush()
+            fm.close()
+            fm = FileManager([IODevice(0, root)], page_size=1024)
+            cache = BufferCache(fm, num_pages=64)
+            lsm = LSMRTree.recover(fm, cache, "r", **kwargs)
     got = set(lsm.search(window(0, 0, 9, 9)))
     assert got == model
+    assert len(lsm) == len(model)
+    assert_dropped(lsm, fm, root)
     fm.close()

@@ -294,6 +294,27 @@ class TestRecovery:
         assert ps.count() == 15
         fm2.close()
 
+    def test_abort_leaves_later_flushes_durable(self, stack, tmp_path):
+        """An aborted entity op must not stall later manifest saves: a
+        non-transactional write (LOAD bypasses the WAL) flushed after it
+        survives a crash only through the manifest."""
+        from repro.common.errors import DuplicateKeyError
+
+        fm, cache, log = stack
+        txn = TransactionManager(log)
+        storage = make_partition(fm, cache)
+        tp = TransactionalPartition(storage, txn)
+        tp.insert({"id": 1, "x": "a"})
+        with pytest.raises(DuplicateKeyError):
+            tp.insert({"id": 1, "x": "dup"})
+        storage.upsert({"id": 2, "x": "loaded"})
+        storage.flush_all()
+        ps, recovery, fm2 = crash_and_recover(tmp_path, fm, cache, log)
+        assert ps.primary.num_disk_components == 1
+        assert ps.get((2,))["x"] == "loaded"
+        assert ps.get((1,))["x"] == "a"
+        fm2.close()
+
     def test_deletes_replayed(self, stack, tmp_path):
         fm, cache, log = stack
         txn = TransactionManager(log)

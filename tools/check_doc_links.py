@@ -8,7 +8,8 @@ Scans ``docs/*.md`` plus README.md, DESIGN.md and EXPERIMENTS.md for
   ``docs/...``, ``examples/...``, ``benchmarks/...``, ``bench/...`` or
   ``tools/...`` —
   and verifies the file or directory exists (``repro/...`` resolves
-  under ``src/``);
+  under ``src/``); a path whose last segment is a glob
+  (``repro/storage/lsm/*.py``) must match at least one path;
 * relative markdown links (``[text](OBSERVABILITY.md)``) and verifies
   the target exists relative to the citing document;
 * inline (non-backticked) ``src/repro/...`` path references in prose —
@@ -46,7 +47,9 @@ def candidate_paths(text: str):
         token = token.rstrip(".,;:")
         if "/" not in token:
             continue
-        if any(ch in token for ch in " ()*{}<>$\"'=,"):
+        head, _, last = token.rpartition("/")
+        if any(ch in head + last.replace("*", "")
+               for ch in " ()*{}<>$\"'=,"):
             continue                      # code snippets, not paths
         first = token.split("/", 1)[0]
         if first in ROOTS:
@@ -54,12 +57,12 @@ def candidate_paths(text: str):
 
 
 def resolve_repo_path(token: str) -> bool:
-    path = REPO / token
-    if path.exists():
-        return True
-    if token.startswith("repro/"):        # module path; lives under src/
-        return (REPO / "src" / token).exists()
-    return False
+    # a module path (repro/...) lives under src/
+    bases = [REPO, REPO / "src"] if token.startswith("repro/") else [REPO]
+    if "*" in token:                      # a glob: needs one match
+        return any(next(base.glob(token), None) is not None
+                   for base in bases)
+    return any((base / token).exists() for base in bases)
 
 
 def inline_src_paths(text: str):
