@@ -224,20 +224,16 @@ class NodeController:
         self.txn_partitions[key] = TransactionalPartition(storage, self.txn)
         return storage
 
-    def seed_txn_ids_from_log(self) -> None:
-        """After a restart, continue transaction ids past the log's max so
-        an old uncommitted entity transaction can never be confused with a
-        new committed one during a later recovery."""
-        max_txn = 0
-        for record in self.log.scan():
-            max_txn = max(max_txn, record.txn_id)
-        self.txn.seed_ids(max_txn + 1)
-
     def replay_wal(self) -> int:
         """Replay committed entity operations into this node's recovered
-        partitions; returns operations replayed."""
+        partitions; returns operations replayed.  Transaction ids then
+        continue past the log's max, so an old uncommitted entity
+        transaction can never be confused with a new committed one during
+        a later recovery."""
         manager = RecoveryManager(self.log)
-        return manager.recover(self.partitions)
+        replayed = manager.recover(self.partitions)
+        self.txn.seed_ids(manager.max_txn_id + 1)
+        return replayed
 
     def drop_partition(self, dataset: str, partition_id: int) -> None:
         key = (dataset, partition_id)
@@ -590,9 +586,9 @@ class ClusterController:
     def restart_node(self, node_id: int, span: object = None) -> int:
         """Bring a FAILED node back: advance the simulated clock by the
         detection delay, reopen its files, recover every partition it
-        hosts from the LSM manifests, reseed transaction ids, replay the
-        WAL, and re-install catalog validators.  Returns the number of
-        WAL operations replayed."""
+        hosts from the LSM manifests, replay the WAL (which reseeds
+        transaction ids), and re-install catalog validators.  Returns the
+        number of WAL operations replayed."""
         node = self.nodes[node_id]
         if node.state is NodeState.ALIVE:
             return 0
@@ -603,7 +599,6 @@ class ClusterController:
             for p in range(self.num_partitions):
                 if self.node_of_partition(p) is node:
                     node.recover_partition(name, p, info.pk_fields, specs)
-        node.seed_txn_ids_from_log()
         replayed = node.replay_wal()
         node.finish_restart()
         registry = get_registry()

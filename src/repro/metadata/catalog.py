@@ -108,7 +108,6 @@ class MetadataManager(MetadataView):
         for qualified, pk in cls.SYSTEM_DATASETS:
             cluster.recover_dataset(qualified, pk)
         for node in cluster.nodes:
-            node.seed_txn_ids_from_log()
             node.replay_wal()
         mgr._register_system_entries()
 

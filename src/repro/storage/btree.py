@@ -19,6 +19,17 @@ Layout (all integers big-endian):
   followed by ``count-1`` separator keys ``[klen:u16][key]``; child ``i``
   holds keys < separator ``i`` (and the last child the rest).
 
+Invariant: every node object carries ``nbytes``, the exact length its
+``encode`` fills before padding — ``_LEAF_HEADER + sum(4 + len(key) +
+len(value))`` for a leaf, ``_INTERIOR_HEADER + 4 * children + sum(2 +
+len(separator))`` for an interior node, keys counted serialized.
+``decode`` sets it from its final read position; an insert, an in-place
+replace and ``bulk_load`` add what they add, and a split counts one half
+once and derives the other.  So "does this page still fit?" costs O(1)
+instead of re-serializing the page.  ``encode`` still measures the real
+length and raises :class:`StorageError` on overflow, which is what
+catches a wrong count.
+
 Supported operations: point search, inclusive/exclusive range scans,
 insert with node splits (including unique-key enforcement for primary
 indexes), and sorted bulk load.  Physical deletion is not implemented —
@@ -41,6 +52,18 @@ _LEAF = 1
 _INTERIOR = 2
 _NO_PAGE = 0xFFFFFFFF
 _META_MAGIC = b"ABTR"
+_LEAF_HEADER = 7        # type byte, count:u16, next_leaf:u32
+_INTERIOR_HEADER = 3    # type byte, count:u16
+
+
+def _entry_bytes(key, value: bytes) -> int:
+    """Encoded size of one leaf entry."""
+    return 4 + len(serialize_tuple(key)) + len(value)
+
+
+def _separator_bytes(key) -> int:
+    """Encoded size of one interior separator (its child pointer aside)."""
+    return 2 + len(serialize_tuple(key))
 
 
 @dataclass
@@ -48,6 +71,7 @@ class _Leaf:
     keys: list = field(default_factory=list)        # ADM tuples
     values: list = field(default_factory=list)      # bytes
     next_leaf: int = _NO_PAGE
+    nbytes: int = _LEAF_HEADER     # encoded length; see the module docstring
 
     def encode(self, page_size: int) -> bytes:
         out = bytearray()
@@ -80,19 +104,14 @@ class _Leaf:
             pos += 2
             values.append(bytes(data[pos:pos + vlen]))
             pos += vlen
-        return cls(keys, values, next_leaf)
-
-    def size(self) -> int:
-        total = 7
-        for key, value in zip(self.keys, self.values):
-            total += 4 + len(serialize_tuple(key)) + len(value)
-        return total
+        return cls(keys, values, next_leaf, pos)
 
 
 @dataclass
 class _Interior:
     keys: list = field(default_factory=list)       # count-1 separators
     children: list = field(default_factory=list)   # count page numbers
+    nbytes: int = _INTERIOR_HEADER  # encoded length; see the module docstring
 
     def encode(self, page_size: int) -> bytes:
         out = bytearray()
@@ -126,13 +145,7 @@ class _Interior:
             pos += 2
             keys.append(deserialize_tuple(bytes(data[pos:pos + klen])))
             pos += klen
-        return cls(keys, children)
-
-    def size(self) -> int:
-        total = 3 + 4 * len(self.children)
-        for key in self.keys:
-            total += 2 + len(serialize_tuple(key))
-        return total
+        return cls(keys, children, pos)
 
 
 def _decode(data):
@@ -308,7 +321,9 @@ class BTree:
                                  unique, replace)
         if split is not None:
             sep_key, right_page = split
-            new_root = _Interior([sep_key], [self.root_page, right_page])
+            new_root = _Interior([sep_key], [self.root_page, right_page],
+                                 _INTERIOR_HEADER + 8
+                                 + _separator_bytes(sep_key))
             root_no = self._alloc()
             self._write_node(root_no, new_root)
             self.root_page = root_no
@@ -325,13 +340,15 @@ class BTree:
             if exists:
                 if unique and not replace:
                     raise DuplicateKeyError(f"duplicate key {key!r}")
+                node.nbytes += len(value) - len(node.values[idx])
                 node.values[idx] = value
                 self._write_node(page_no, node, new=False)
                 return None
             node.keys.insert(idx, key)
             node.values.insert(idx, value)
+            node.nbytes += _entry_bytes(key, value)
             self.count += 1
-            if node.size() <= self.page_size:
+            if node.nbytes <= self.page_size:
                 self._write_node(page_no, node, new=False)
                 return None
             return self._split_leaf(page_no, node)
@@ -343,16 +360,21 @@ class BTree:
         sep_key, right_page = split
         node.keys.insert(idx, sep_key)
         node.children.insert(idx + 1, right_page)
-        if node.size() <= self.page_size:
+        node.nbytes += 4 + _separator_bytes(sep_key)
+        if node.nbytes <= self.page_size:
             self._write_node(page_no, node, new=False)
             return None
         return self._split_interior(page_no, node)
 
     def _split_leaf(self, page_no: int, node: _Leaf):
+        # one pass over the left half per split: amortized O(1) per insert
         mid = len(node.keys) // 2
-        right = _Leaf(node.keys[mid:], node.values[mid:], node.next_leaf)
+        left_bytes = _LEAF_HEADER + sum(
+            map(_entry_bytes, node.keys[:mid], node.values[:mid]))
+        right = _Leaf(node.keys[mid:], node.values[mid:], node.next_leaf,
+                      node.nbytes - left_bytes + _LEAF_HEADER)
         right_no = self._alloc()
-        left = _Leaf(node.keys[:mid], node.values[:mid], right_no)
+        left = _Leaf(node.keys[:mid], node.values[:mid], right_no, left_bytes)
         self._write_node(right_no, right)
         self._write_node(page_no, left, new=False)
         return right.keys[0], right_no
@@ -360,8 +382,13 @@ class BTree:
     def _split_interior(self, page_no: int, node: _Interior):
         mid = len(node.children) // 2
         sep_key = node.keys[mid - 1]
-        right = _Interior(node.keys[mid:], node.children[mid:])
-        left = _Interior(node.keys[: mid - 1], node.children[:mid])
+        left_bytes = (_INTERIOR_HEADER + 4 * mid
+                      + sum(map(_separator_bytes, node.keys[: mid - 1])))
+        right = _Interior(node.keys[mid:], node.children[mid:],
+                          node.nbytes - left_bytes - _separator_bytes(sep_key)
+                          + _INTERIOR_HEADER)
+        left = _Interior(node.keys[: mid - 1], node.children[:mid],
+                         left_bytes)
         right_no = self._alloc()
         self._write_node(right_no, right)
         self._write_node(page_no, left, new=False)
@@ -396,14 +423,15 @@ class BTree:
             if prev_key is not None and compare_tuples(prev_key, key) > 0:
                 raise StorageError("bulk load input not sorted")
             prev_key = key
-            entry = 4 + len(serialize_tuple(key)) + len(value)
-            if current.keys and current.size() + entry > limit:
+            entry = _entry_bytes(key, value)
+            if current.keys and current.nbytes + entry > limit:
                 next_no = cache.fm.append_page(handle)
                 seal_leaf(next_no)
                 current = _Leaf()
                 current_no = next_no
             current.keys.append(key)
             current.values.append(value)
+            current.nbytes += entry
             count += 1
 
         if current.keys:
@@ -419,19 +447,22 @@ class BTree:
         height = 1
         while len(level) > 1:
             next_level = []
-            node = _Interior(children=[level[0][1]])
+            node = _Interior(children=[level[0][1]],
+                             nbytes=_INTERIOR_HEADER + 4)
             node_first = level[0][0]
             for first_key, page_no in level[1:]:
-                extra = 6 + len(serialize_tuple(first_key))
-                if node.size() + extra > limit and len(node.children) >= 2:
+                extra = 4 + _separator_bytes(first_key)
+                if node.nbytes + extra > limit and len(node.children) >= 2:
                     no = cache.fm.append_page(handle)
                     tree._write_node(no, node)
                     next_level.append((node_first, no))
-                    node = _Interior(children=[page_no])
+                    node = _Interior(children=[page_no],
+                                     nbytes=_INTERIOR_HEADER + 4)
                     node_first = first_key
                 else:
                     node.keys.append(first_key)
                     node.children.append(page_no)
+                    node.nbytes += extra
             no = cache.fm.append_page(handle)
             tree._write_node(no, node)
             next_level.append((node_first, no))

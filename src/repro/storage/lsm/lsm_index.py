@@ -16,7 +16,8 @@ manifest, recovery and drop, whatever index sits inside a component.
 * ``_manifest_entry(comp)`` — extended with the kind's own fields.
 
 The manifest is the durability point: recovery reopens what it lists,
-so merged-away files are deleted only once a saved manifest drops them.
+so merged-away files are deleted only once a saved manifest drops them,
+and recovery deletes the index's component files no entry lists.
 While an entity transaction writes an index it sets :attr:`LSMIndex.held`:
 a component flushed then holds an uncommitted write, so the manifest
 save waits for the commit (:meth:`save_deferred`).  An abort clears
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import suppress
 
 from repro.storage.buffer_cache import BufferCache
@@ -176,12 +178,13 @@ class LSMIndex:
         return lsm
 
     def load_manifest(self) -> None:
-        """Append the disk components the manifest lists (if any)."""
+        """Append the disk components the manifest lists (if any), then
+        delete this index's component files that no entry lists."""
         try:
             with open(self._manifest_path()) as f:
                 entries = json.load(f)
         except FileNotFoundError:
-            return
+            entries = []
         for entry in entries:
             comp = DiskComponent(
                 tuple(entry["id"]), None,
@@ -192,6 +195,25 @@ class LSMIndex:
         self._next_seq = max((c.component_id[1] for c in self.components),
                              default=-1) + 1
         self._durable_lsn = max((c.lsn for c in self.components), default=0)
+        self._delete_unlisted()
+
+    def _delete_unlisted(self) -> None:
+        """Remove component files of this index that the manifest does not
+        list: the output of a held flush or merge the node crashed before
+        saving, or merged-away files the crash kept from being deleted.
+        The name pattern is exact, so index ``a`` leaves ``a_c1``'s files
+        alone."""
+        directory = os.path.dirname(self._manifest_path())
+        listed = {os.path.basename(f if isinstance(f, str) else f.path)
+                  for c in self.components
+                  for f in (c.handle, *self._extra_files(c))}
+        ours = re.compile(
+            re.escape(os.path.basename(self.name))
+            + r"_c\d+(-\d+)?\.(btree|btree\.bloom|rtree|deleted)")
+        with suppress(FileNotFoundError):
+            for file in os.listdir(directory):
+                if ours.fullmatch(file) and file not in listed:
+                    os.remove(os.path.join(directory, file))
 
     def drop(self) -> None:
         """Delete every file backing this index, sidecars included."""

@@ -205,27 +205,40 @@ class RecoveryManager:
         self.log = log
         self.replayed = 0
         self.skipped = 0
+        #: largest transaction id anywhere in the log (set by recover)
+        self.max_txn_id = 0
 
     def recover(self, partitions: dict) -> int:
         """``partitions`` maps (dataset, partition_id) -> PartitionStorage
         (freshly reopened via the LSM manifests).  Returns the number of
-        operations replayed."""
-        start = self.log.last_checkpoint_lsn()
-        committed: set[int] = set()
-        aborted: set[int] = set()
+        operations replayed.
+
+        One pass decodes the whole log: it finds the last CHECKPOINT's
+        low-water mark (only records at or above it count) and
+        :attr:`max_txn_id`, which restart seeds new transaction ids from."""
+        start = 0
+        self.max_txn_id = 0
+        committed: dict[int, int] = {}   # txn id -> LSN of its last record
+        aborted: dict[int, int] = {}
         updates: list[LogRecord] = []
-        for record in self.log.scan(start):
-            if record.type is LogRecordType.ENTITY_COMMIT:
-                committed.add(record.txn_id)
+        for record in self.log.scan():
+            self.max_txn_id = max(self.max_txn_id, record.txn_id)
+            if record.type is LogRecordType.CHECKPOINT:
+                start = record.flush_lsn
+            elif record.type is LogRecordType.ENTITY_COMMIT:
+                committed[record.txn_id] = record.lsn
             elif record.type is LogRecordType.ABORT:
-                aborted.add(record.txn_id)
+                aborted[record.txn_id] = record.lsn
             elif record.type is LogRecordType.UPDATE:
                 updates.append(record)
         self.replayed = 0
         self.skipped = 0
         durable = {key: ps.durable_lsn() for key, ps in partitions.items()}
         for record in updates:
-            if record.txn_id not in committed or record.txn_id in aborted:
+            if record.lsn < start:
+                continue
+            if (committed.get(record.txn_id, -1) < start
+                    or aborted.get(record.txn_id, -1) >= start):
                 self.skipped += 1
                 continue
             key = (record.dataset, record.partition)

@@ -117,6 +117,37 @@ class TestEveryFlushBoundary:
         assert cluster.restart_node(0) == 0  # already alive: no-op
         assert [rec["id"] for _, rec in cluster.scan_dataset("Users")] == [1]
 
+    def test_restart_decodes_each_log_record_once(self, single_node,
+                                                  monkeypatch):
+        """Restart reads the WAL in one pass: the replay scan also finds
+        the last checkpoint's low-water mark and the largest transaction
+        id, which new transaction ids continue past."""
+        from repro.txn import LogRecord
+
+        cluster, _ = single_node
+        for i in range(4):
+            cluster.insert_record("Users", {"id": i, "alias": f"u{i}"})
+        cluster.flush_dataset("Users")
+        cluster.checkpoint()
+        for i in range(4, RECORDS):
+            cluster.insert_record("Users", {"id": i, "alias": f"u{i}"})
+        decodes = 0
+        decode = LogRecord.decode.__func__
+
+        def counting(cls, body, lsn):
+            nonlocal decodes
+            decodes += 1
+            return decode(cls, body, lsn)
+
+        monkeypatch.setattr(LogRecord, "decode", classmethod(counting))
+        cluster.crash_node(0)
+        assert cluster.restart_node(0) == RECORDS - 4   # the unflushed suffix
+        monkeypatch.undo()
+        records = list(cluster.nodes[0].log.scan())
+        assert decodes == len(records)
+        assert cluster.nodes[0].txn.next_txn_id() > max(
+            r.txn_id for r in records)
+
 
 INDEXED_RECORDS = 40
 

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adm import serialize
+from repro.adm.serializer import serialize_tuple
 from repro.common.errors import DuplicateKeyError, StorageError
-from repro.storage import BTree, BufferCache
+from repro.storage import BTree, BufferCache, FileManager, IODevice
+from repro.storage import btree as btree_module
 
 
 def val(i):
@@ -177,6 +179,25 @@ class TestBulkLoad:
 
         assert bulk_writes * 2 < insert_io
 
+    def test_bulk_load_serializes_each_key_a_bounded_number_of_times(
+            self, fm, cache, monkeypatch):
+        """Deciding whether a page is full costs O(1): loading N keys
+        serializes each key a constant number of times (sizing it, encoding
+        its page, and for a leaf's first key its separator), not once per
+        entry already on its page."""
+        calls = 0
+
+        def counting(key):
+            nonlocal calls
+            calls += 1
+            return serialize_tuple(key)
+
+        monkeypatch.setattr(btree_module, "serialize_tuple", counting)
+        n = 5000
+        BTree.bulk_load(cache, fm.create_file("t"),
+                        [((i, "k" * 8), b"v" * 8) for i in range(n)])
+        assert calls <= 4 * n
+
     def test_reopen(self, fm, cache):
         handle = fm.create_file("t")
         pairs = [((i,), val(i)) for i in range(100)]
@@ -194,6 +215,102 @@ class TestSmallCachePressure:
             tree.insert((i,), val(i))
         assert tree.search((777,)) == val(777)
         assert len(list(tree.range_scan())) == 800
+
+
+SMALL_PAGE = 256
+
+
+def small_page_stack(root):
+    """A storage stack with small pages (many splits) and a cache that
+    holds every page of these tests."""
+    fm = FileManager([IODevice(0, str(root))], page_size=SMALL_PAGE)
+    return fm, BufferCache(fm, num_pages=512)
+
+
+def entry_bytes(key, value):
+    """Independent of the tree: one leaf entry's encoded size."""
+    return 4 + len(serialize_tuple(key)) + len(value)
+
+
+def leaves(tree):
+    """The tree's leaves, left to right along the sibling chain."""
+    node = tree._read_node(tree.root_page)
+    while isinstance(node, btree_module._Interior):
+        node = tree._read_node(node.children[0])
+    yield node
+    while node.next_leaf != btree_module._NO_PAGE:
+        node = tree._read_node(node.next_leaf)
+        yield node
+
+
+@given(
+    sizes=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 150)),
+                   max_size=120),
+    fill_factor=st.sampled_from([1.0, 0.75]),
+)
+@settings(max_examples=60, deadline=None)
+def test_bulk_load_packs_every_leaf_full(tmp_path_factory, sizes,
+                                         fill_factor):
+    """Same greedy layout as a page-by-page fill: every leaf but the last
+    holds all it can, and the next leaf's first entry would not fit.  (A
+    leaf always takes its first entry, even one larger than the fill
+    limit.)"""
+    fm, cache = small_page_stack(tmp_path_factory.mktemp("fill"))
+    pairs = [((i, "k" * klen), b"v" * vlen)
+             for i, (klen, vlen) in enumerate(sizes)]
+    tree = BTree.bulk_load(cache, fm.create_file("t"), pairs, fill_factor)
+    limit = int(SMALL_PAGE * fill_factor)
+    loaded = list(leaves(tree))
+    assert [k for leaf in loaded for k in leaf.keys] == [k for k, _ in pairs]
+    for leaf, following in zip(loaded, loaded[1:]):
+        used = 7 + sum(map(entry_bytes, leaf.keys, leaf.values))
+        assert used <= limit or len(leaf.keys) == 1
+        assert used + entry_bytes(following.keys[0],
+                                  following.values[0]) > limit
+    fm.close()
+
+
+@given(
+    ops=st.lists(
+        st.tuples(st.sampled_from(["insert", "replace"]),
+                  st.integers(0, 200), st.integers(0, 40),
+                  st.integers(0, 30)),
+        min_size=60, max_size=150,       # enough to split interior nodes
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_node_byte_counts_match_encode(tmp_path_factory, ops):
+    """After every insert, in-place replace and split, each cached node's
+    running ``nbytes`` is exactly the length ``encode`` fills: the node
+    encodes into ``nbytes`` bytes and overflows ``nbytes - 1``."""
+    fm, cache = small_page_stack(tmp_path_factory.mktemp("nbytes"))
+    handle = fm.create_file("t")
+    tree = BTree.create(cache, handle)
+    present = []
+    for op, k, klen, vlen in ops:
+        if op == "replace" and present:
+            key = present[k % len(present)]
+        else:
+            key = (k, "s" * klen)
+        if key in present:
+            # grow in place only as far as the page has room (a replace
+            # never splits); the room is counted independently of nbytes
+            _, leaf = tree._find_leaf(key)
+            room = SMALL_PAGE - 7 - sum(map(entry_bytes, leaf.keys,
+                                            leaf.values))
+            vlen = min(vlen, len(tree.search(key)) + room)
+        else:
+            present.append(key)
+        tree.insert(key, b"v" * vlen, replace=True)
+        for page in cache._pages.values():
+            node = page.parsed
+            if page.key[0] != handle.file_id or node is None:
+                continue
+            node.encode(node.nbytes)
+            with pytest.raises(StorageError, match="overflow"):
+                node.encode(node.nbytes - 1)
+    assert [k for k, _ in tree.range_scan()] == sorted(present)
+    fm.close()
 
 
 @given(

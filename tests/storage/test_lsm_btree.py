@@ -19,6 +19,15 @@ from repro.storage.lsm import (
 )
 
 
+def write(lsm, i):
+    """One entry keyed by ``i`` in either component kind."""
+    if isinstance(lsm, LSMBTree):
+        lsm.upsert((i,), b"v%d" % i)
+    else:
+        p = APoint(float(i), float(i))
+        lsm.insert(ARectangle(p, p), (float(i), float(i), i))
+
+
 @pytest.fixture
 def lsm(fm, cache):
     return LSMBTree(fm, cache, "t", memory_budget_bytes=4096,
@@ -215,15 +224,7 @@ class TestManifest:
         every component it listed."""
         lsm = cls(fm, cache, "m", memory_budget_bytes=1 << 20,
                   merge_policy=NoMergePolicy())
-
-        def write(i):
-            if cls is LSMBTree:
-                lsm.upsert((i,), b"v%d" % i)
-            else:
-                p = APoint(float(i), float(i))
-                lsm.insert(ARectangle(p, p), (float(i), float(i), i))
-
-        write(1)
+        write(lsm, 1)
         lsm.flush()
         saved = [c.component_id for c in lsm.components]
 
@@ -232,7 +233,7 @@ class TestManifest:
             raise OSError("no space left on device")
 
         monkeypatch.setattr(json, "dump", torn_dump)
-        write(2)
+        write(lsm, 2)
         with pytest.raises(OSError):
             lsm.flush()
         monkeypatch.undo()
@@ -256,8 +257,8 @@ class TestManifest:
         lsm.flush()
 
         def listed():
-            return [c.component_id for c in LSMBTree.recover(
-                fm, cache, "h").components]
+            with open(lsm._manifest_path()) as f:
+                return [tuple(entry["id"]) for entry in json.load(f)]
 
         lsm.held = True
         lsm.upsert((2,), b"b", lsn=2)
@@ -279,6 +280,54 @@ class TestManifest:
         lsm.upsert((4,), b"d")   # a later non-transactional flush
         lsm.flush()
         assert listed() == [(3, 3), (2, 2), (0, 1)]
+
+    @pytest.mark.parametrize("cls", [LSMBTree, LSMRTree])
+    def test_crash_in_held_merge_leaves_no_orphans(self, tmp_path, cls):
+        """A held flush and merge whose transaction never commits write
+        files no manifest lists.  After a crash, recovery deletes exactly
+        those: listed components, their sidecars and an index whose name
+        merely extends this one's (``a_c1``) stay, and so does the data."""
+        from repro.storage import FileManager, IODevice
+
+        root = str(tmp_path / "dev")
+        kwargs = dict(memory_budget_bytes=1 << 20,
+                      merge_policy=NoMergePolicy())
+
+        def open_fm():
+            fm = FileManager([IODevice(0, root)], page_size=512)
+            return fm, BufferCache(fm, num_pages=64)
+
+        fm, cache = open_fm()
+        neighbour = LSMBTree(fm, cache, "a_c1", **kwargs)
+        neighbour.upsert((9,), b"n")
+        neighbour.flush()
+        lsm = cls(fm, cache, "a", **kwargs)
+        for i in (1, 2):
+            write(lsm, i)
+            lsm.flush()
+        lsm.held = True
+        write(lsm, 3)
+        lsm.flush()
+        lsm.merge()                     # a_c0-2: in no manifest
+        ext = lsm.ext
+        assert f"a_c0-2.{ext}" in os.listdir(root)
+        fm.close()                      # crash before the commit
+
+        fm, cache = open_fm()
+        again = cls.recover(fm, cache, "a", **kwargs)
+        sidecar = "btree.bloom" if cls is LSMBTree else "deleted"
+        assert sorted(os.listdir(root)) == sorted([
+            "a.manifest", f"a_c0.{ext}", f"a_c0.{sidecar}",
+            f"a_c1.{ext}", f"a_c1.{sidecar}",
+            "a_c1.manifest", "a_c1_c0.btree", "a_c1_c0.btree.bloom"])
+        if cls is LSMBTree:
+            assert [k[0] for k, _ in again.scan()] == [1, 2]
+        else:
+            box = ARectangle(APoint(0.0, 0.0), APoint(5.0, 5.0))
+            assert sorted(again.search(box)) == [(1.0, 1.0, 1),
+                                                 (2.0, 2.0, 2)]
+        assert LSMBTree.recover(fm, cache, "a_c1").search((9,)) == b"n"
+        fm.close()
 
 
 def merge_slice(num_components: int, draw: int) -> slice:
