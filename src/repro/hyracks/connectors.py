@@ -58,10 +58,9 @@ class HashPartitionConnector(ConnectorDescriptor):
     def route(self, producer_outputs, num_consumers, ctx):
         outputs = [[] for _ in range(num_consumers)]
         cols = tuple(self.key_fields)
-        # the job's shared key cache (when routing inside the executor):
-        # the hash computed here is reused byte-for-byte by the consuming
-        # join/group-by, which keys the very same tuple objects on the
-        # very same columns
+        # the job's shared key cache (when routing inside the executor)
+        # is keyed by value: each distinct key is hashed once per job, and
+        # the consuming join/group-by reuses its bytes
         cache = getattr(ctx, "key_cache", None)
         num_producers = len(producer_outputs)
         for src, part in enumerate(producer_outputs):

@@ -294,10 +294,13 @@ class JobExecutor:
             node.injector.hit("executor.operator", partition=partition,
                               op=repr(head), stage=stage.index)
             reservation = self.reservations.get(node.node_id)
+            # one key-cache handle per task: its lookup counts stay on
+            # this worker thread
+            keys = self.key_cache.handle()
             head_ctx = TaskContext(
                 node, config, op_profiles[stage.head].cost(partition),
                 span=self.span, reservation=reservation,
-                key_cache=self.key_cache)
+                key_cache=keys)
             head_inputs = [routed[partition] for routed in routed_per_edge]
             head_ctx.cost.tuples_in += sum(len(x) for x in head_inputs)
             if head.streaming:
@@ -315,7 +318,7 @@ class JobExecutor:
                     TaskContext(node, config,
                                 op_profiles[op_id].cost(partition),
                                 span=self.span, reservation=reservation,
-                                key_cache=self.key_cache),
+                                key_cache=keys),
                     partition,
                 )
                 for op_id, op in zip(stage.op_ids[1:], ops[1:])

@@ -2,24 +2,39 @@
 
 Every layer that keys tuples — hash-partitioning connectors, hash-join
 build/probe, group-by, distinct — needs the same derived quantity: the
-canonical bytes (and FNV hash) of a tuple's key columns.  Before this
-cache each layer recomputed them, so a tuple flowing through
-``hash-connector -> join probe`` paid for canonicalization twice (and a
-grouped tuple three times).
+canonical bytes (and FNV hash) of a tuple's key columns.  Computing them
+is a per-byte Python loop, while a job typically sees few distinct keys
+(a join or group-by over a foreign key repeats each key many times).
 
-:class:`KeyCache` memoizes ``(tuple identity, key columns) -> canonical
-bytes`` for the lifetime of one job execution.  Identity is ``id(tup)``
-with a strong reference kept to the tuple, so ids cannot be recycled
-while an entry lives.  The executor creates one cache per job run and
-hands it to connector routing (coordinator thread) and operator tasks
-(node workers); all mutation is single dict/list ops, safe under the GIL.
+:class:`KeyCache` memoizes by the key's *values*: each distinct key is
+canonicalized and hashed once per job, and every later tuple with that
+key — at any connector or operator, on any key columns — costs one dict
+probe.  The memo key is the scalar for a one-column key and the value
+tuple otherwise (``cols=None`` keys the whole tuple), and it is used
+only when every value is of exact type ``int`` or ``str``.  Python
+treats ``True == 1`` and ``1 == 1.0`` as one dict key although their
+canonical bytes differ, so ``bool``, ``float``, ``None``, ``MISSING``
+and nested or temporal values are never memoized; their keys are
+computed directly, per call.  Every entry is ``(plain_key_bytes,
+fnv1a_bytes of those bytes)``, exactly what the uncached path returns,
+so partition placement and routing do not depend on the cache.
+
+Thread safety.  The executor creates one cache per job run.  The
+coordinator routes connectors through the cache itself, and each
+operator task keys through its own :meth:`KeyCache.handle`, which shares
+the memo and counts its own lookups.  Memo reads and stores are single dict
+ops, safe under the GIL; two workers that miss the same key at once
+both compute it and store the same entry.  Counters are never shared
+between threads, so hit/miss totals are exact whatever the
+interleaving: misses are the memo entries the job created plus the keys
+computed without storing, hits are all lookups minus misses.
 
 The cache changes nothing observable except wall-clock time: simulated
 ``charge_hash`` costs are charged by the *logical* operation count at
-each layer, exactly as before, so the simulated clock is identical with
-the cache hot or cold.  Hit/miss totals surface as the
-``hyracks.batch.key_cache_hits`` / ``hyracks.batch.key_cache_misses``
-counters when the executor flushes them after the run.
+each layer, so the simulated clock is identical with the cache hot or
+cold.  Totals surface as the ``hyracks.batch.key_cache_hits`` /
+``hyracks.batch.key_cache_misses`` counters when the executor flushes
+them after the run.
 """
 
 from __future__ import annotations
@@ -45,87 +60,102 @@ def plain_key_bytes_many(tuples, cols) -> list:
 
 
 class KeyCache:
-    """Job-lifetime memo of key bytes and key hashes per (tuple, columns).
+    """Job-lifetime memo of key bytes and key hashes, keyed by value.
 
     Bounded: past ``max_entries`` the cache computes without storing, so a
-    pathological job degrades to the uncached behavior instead of holding
-    every intermediate tuple alive.
+    pathological job degrades to the uncached behavior instead of growing
+    without limit.
     """
 
-    __slots__ = ("_entries", "max_entries", "hits", "misses")
+    __slots__ = ("_memo", "_counters", "max_entries", "lookups", "uncached")
 
     def __init__(self, max_entries: int = 1 << 20):
-        #: (id(tup), cols) -> [tup, key_bytes, key_hash | None]
-        self._entries: dict = {}
+        #: memo key -> (key_bytes, key_hash); shared with every handle
+        self._memo: dict = {}
+        #: this cache and its handles: the thread-confined lookup counters
+        self._counters: list = [self]
         self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
+        self.lookups = 0
+        #: keys computed without storing (not memoizable, or past the cap)
+        self.uncached = 0
+
+    def handle(self) -> "KeyCache":
+        """A view for one thread: shares this cache's memo and cap, and
+        counts its own lookups so no counter is shared between threads."""
+        view = KeyCache(self.max_entries)
+        view._memo = self._memo
+        view._counters = self._counters
+        self._counters.append(view)
+        return view
+
+    @property
+    def misses(self) -> int:
+        """Keys computed this job: memo entries plus uncached computes."""
+        return len(self._memo) + sum(c.uncached for c in self._counters)
+
+    @property
+    def hits(self) -> int:
+        """Lookups served from the memo without computing."""
+        return sum(c.lookups for c in self._counters) - self.misses
+
+    def _entry(self, tup, cols):
+        """``(key_bytes, key_hash)`` of ``tup``'s key, from the memo or
+        computed (and stored below the cap); None when some value is not
+        exactly an int or str, so the key must be computed directly."""
+        self.lookups += 1
+        if cols is not None and len(cols) == 1:
+            mk = tup[cols[0]]
+            memoizable = type(mk) is int or type(mk) is str
+        else:
+            mk = tup if cols is None else tuple([tup[i] for i in cols])
+            memoizable = type(mk) is tuple and all(
+                type(v) is int or type(v) is str for v in mk)
+        if not memoizable:
+            self.uncached += 1
+            return None
+        memo = self._memo
+        entry = memo.get(mk)
+        if entry is None:
+            kb = plain_key_bytes(tup, cols)
+            entry = (kb, fnv1a_bytes(kb))
+            if len(memo) < self.max_entries:
+                memo[mk] = entry
+            else:
+                self.uncached += 1
+        return entry
 
     def key_bytes(self, tup, cols) -> bytes:
-        """Cached :func:`plain_key_bytes`.  ``cols`` must be hashable
-        (pass a tuple of column indexes, or None for the whole tuple)."""
-        ck = (id(tup), cols)
-        entry = self._entries.get(ck)
-        if entry is not None:
-            self.hits += 1
-            return entry[1]
-        self.misses += 1
-        kb = plain_key_bytes(tup, cols)
-        if len(self._entries) < self.max_entries:
-            self._entries[ck] = [tup, kb, None]
-        return kb
+        """Cached :func:`plain_key_bytes` (``cols`` a sequence of column
+        indexes, or None for the whole tuple)."""
+        entry = self._entry(tup, cols)
+        return plain_key_bytes(tup, cols) if entry is None else entry[0]
 
     def key_bytes_many(self, tuples, cols) -> list:
         """Batch :meth:`key_bytes` over a whole frame in one call (the
-        batched group-by/distinct entry point): one dict probe per
-        tuple, misses computed and stored under the same bounded-size
-        rule, hit/miss accounting identical to per-tuple calls."""
-        entries = self._entries
-        max_entries = self.max_entries
-        out = []
-        hits = 0
-        for tup in tuples:
-            ck = (id(tup), cols)
-            entry = entries.get(ck)
-            if entry is not None:
-                hits += 1
-                out.append(entry[1])
-                continue
-            kb = plain_key_bytes(tup, cols)
-            if len(entries) < max_entries:
-                entries[ck] = [tup, kb, None]
-            out.append(kb)
-        self.hits += hits
-        self.misses += len(tuples) - hits
-        return out
+        batched group-by/distinct entry point), with hit/miss accounting
+        identical to per-tuple calls."""
+        key_bytes = self.key_bytes
+        return [key_bytes(tup, cols) for tup in tuples]
 
     def key_hash(self, tup, cols) -> int:
         """FNV-1a of :meth:`key_bytes` — equal to ``hash_value`` over the
         key tuple, so connector routing agrees with primary-key routing
         (``ClusterController.partition_of_key``)."""
-        ck = (id(tup), cols)
-        entry = self._entries.get(ck)
-        if entry is not None:
-            h = entry[2]
-            if h is None:
-                h = fnv1a_bytes(entry[1])
-                entry[2] = h
-            self.hits += 1
-            return h
-        self.misses += 1
-        kb = plain_key_bytes(tup, cols)
-        h = fnv1a_bytes(kb)
-        if len(self._entries) < self.max_entries:
-            self._entries[ck] = [tup, kb, h]
-        return h
+        entry = self._entry(tup, cols)
+        if entry is None:
+            return fnv1a_bytes(plain_key_bytes(tup, cols))
+        return entry[1]
 
     def flush_metrics(self, registry) -> None:
-        """Fold accumulated hit/miss counts into the metrics registry (one
-        locked increment per job instead of two per tuple)."""
-        if self.hits:
-            registry.counter("hyracks.batch.key_cache_hits").inc(self.hits)
-        if self.misses:
-            registry.counter("hyracks.batch.key_cache_misses").inc(
-                self.misses)
-        self.hits = 0
-        self.misses = 0
+        """Fold the job's hit/miss totals into the metrics registry (one
+        locked increment per job instead of two per tuple), then empty
+        the memo and zero every handle's counters."""
+        hits, misses = self.hits, self.misses
+        if hits:
+            registry.counter("hyracks.batch.key_cache_hits").inc(hits)
+        if misses:
+            registry.counter("hyracks.batch.key_cache_misses").inc(misses)
+        self._memo.clear()
+        for c in self._counters:
+            c.lookups = c.uncached = 0
+        del self._counters[1:]

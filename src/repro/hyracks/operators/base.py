@@ -37,8 +37,8 @@ class TaskContext:
         self.cost = cost
         self.span = span
         self.reservation = reservation
-        #: the job's shared KeyCache (None when an operator runs outside
-        #: the executor, e.g. in a direct unit test)
+        #: this task's handle on the job's KeyCache (None when an operator
+        #: runs outside the executor, e.g. in a direct unit test)
         self.key_cache = key_cache
 
     # -- key extraction ----------------------------------------------------------
@@ -47,9 +47,9 @@ class TaskContext:
         """Canonical bytes of ``tup``'s key columns (``cols`` a tuple of
         indexes, or None for the whole tuple), via the job's shared
         key cache when one is attached.  Join build/probe, group-by, and
-        distinct all key through here, so a tuple already keyed by the
-        partitioning connector reuses its bytes instead of
-        re-canonicalizing."""
+        distinct all key through here, so a key value already seen in
+        the job (at a connector or another operator) reuses its bytes
+        instead of re-canonicalizing."""
         cache = self.key_cache
         if cache is not None:
             return cache.key_bytes(tup, cols)

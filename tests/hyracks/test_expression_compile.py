@@ -15,11 +15,14 @@ Two invariants are pinned here:
   cache's reuse is visible via ``hyracks.batch.key_cache_hits``.
 """
 
+import sys
+import threading
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adm.values import MISSING, Multiset
-from repro.common.config import ClusterConfig, NodeConfig
+from repro.adm.values import MISSING, ADate, Multiset, hash_value
+from repro.common.config import ClusterConfig, ExecutorConfig, NodeConfig
 from repro.hyracks import (
     ClusterController,
     ColumnRef,
@@ -41,9 +44,12 @@ from repro.hyracks.expressions import (
     evaluate_predicate,
     expr_size,
 )
+from repro.hyracks import keys
 from repro.hyracks.keys import KeyCache, plain_key_bytes
 from repro.hyracks.operators import (
+    AggregateCall,
     AssignOp,
+    HashGroupByOp,
     HybridHashJoinOp,
     InMemorySourceOp,
     ResultWriterOp,
@@ -52,6 +58,14 @@ from repro.hyracks.operators import (
 from repro.observability.metrics import get_registry
 
 WIDTH = 6
+
+# key values Python treats as equal (or hashes alike) but ADM
+# canonicalizes apart, plus values that must never enter the key memo
+KEY_VALUES = st.sampled_from([
+    True, 1, False, 0, 1.0, 0.0, -0.0, "1", "", 2 ** 70, float("nan"),
+    None, MISSING, [1], [1, "a"], Multiset([1]), {"a": 1}, ADate(1),
+])
+KEY_COLS = st.sampled_from([None, (0,), (2,), [1], (0, 1), (2, 0, 1)])
 
 # mixed types on purpose: cross-type comparisons must agree too
 VALUES = st.one_of(
@@ -214,12 +228,155 @@ class TestKeyCache:
         assert (hits.value - h0, misses.value - m0) == (1, 1)
         assert (cache.hits, cache.misses) == (0, 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["key_bytes", "key_bytes_many", "key_hash"]),
+        st.lists(st.tuples(KEY_VALUES, KEY_VALUES, KEY_VALUES),
+                 min_size=1, max_size=4),
+        KEY_COLS), min_size=1, max_size=12))
+    def test_value_memo_matches_uncached(self, calls):
+        # values Python treats as one dict key (True/1, 1/1.0, 0.0/-0.0)
+        # but canonicalizes apart, interleaved on one cache
+        cache = KeyCache()
+        lookups = 0
+        for kind, tuples, cols in calls:
+            if kind == "key_bytes_many":
+                got = cache.key_bytes_many(tuples, cols)
+                assert got == [plain_key_bytes(t, cols) for t in tuples]
+                lookups += len(tuples)
+                continue
+            for tup in tuples:
+                key = tup if cols is None else tuple(tup[i] for i in cols)
+                if kind == "key_bytes":
+                    assert cache.key_bytes(tup, cols) == \
+                        plain_key_bytes(tup, cols)
+                else:
+                    assert cache.key_hash(tup, cols) == hash_value(key)
+                lookups += 1
+        assert cache.hits + cache.misses == lookups
+        for mk in cache._memo:
+            vals = mk if type(mk) is tuple else (mk,)
+            assert all(type(v) in (int, str) for v in vals)
 
-def _config():
+    def test_key_path_canonicalizes_each_distinct_key_once(
+            self, tmp_path, monkeypatch):
+        """10,000 tuples over 10 distinct int keys, hash-routed and then
+        joined in one job, canonicalize each distinct key once."""
+        calls = []
+        real = keys.canonical_bytes
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(keys, "canonical_bytes", counting)
+        job = JobSpecification()
+        left = job.add_operator(InMemorySourceOp(
+            [(i % 10, i) for i in range(10_000)]))
+        right = job.add_operator(InMemorySourceOp(
+            [(k, -k) for k in range(10)]))
+        join = job.add_operator(HybridHashJoinOp([0], [0]))
+        sink = job.add_operator(ResultWriterOp())
+        job.connect(HashPartitionConnector([0]), left, join, 0)
+        job.connect(HashPartitionConnector([0]), right, join, 1)
+        job.connect(OneToOneConnector(), join, sink)
+        cluster = ClusterController(str(tmp_path / "c"), _config())
+        try:
+            result = cluster.run_job(job)
+        finally:
+            cluster.close()
+        assert len(result.tuples) == 10_000
+        assert len(calls) <= 10
+
+    def test_hit_miss_counts_deterministic_under_worker_pool(self, tmp_path):
+        def deltas(mode, run):
+            registry = get_registry()
+            hits = registry.counter("hyracks.batch.key_cache_hits")
+            misses = registry.counter("hyracks.batch.key_cache_misses")
+            h0, m0 = hits.value, misses.value
+            cluster = ClusterController(
+                str(tmp_path / f"{mode}{run}"), _config(
+                    num_nodes=2, executor=ExecutorConfig(mode=mode)))
+            try:
+                rows = cluster.run_job(_join_group_job()).tuples
+            finally:
+                cluster.close()
+            assert sorted(rows) == [(g + 0.5, 80) for g in range(1000, 1025)]
+            return hits.value - h0, misses.value - m0
+
+        serial = deltas("serial", 0)
+        # 75 memo entries (join keys 0..49, partial-group keys 1000..1024)
+        # plus the 50 partial rows' float keys, computed directly once at
+        # routing and once at grouping
+        assert serial[1] == 75 + 2 * 50 and serial[0] > 0
+        assert [deltas("parallel", i) for i in range(5)] == [serial] * 5
+
+    def test_handles_count_exactly_under_thread_stress(self):
+        """Eight threads (more than cores) key the same 500 values through
+        their own handles with a very short switch interval: a lost
+        counter update or a double-counted racing miss breaks the
+        totals."""
+        cache = KeyCache()
+        tuples = [(i % 500, "x") for i in range(2_000)]
+        handles = [cache.handle() for _ in range(8)]
+        start = threading.Barrier(len(handles))
+
+        def work(handle):
+            start.wait(timeout=60)
+            for tup in tuples:
+                handle.key_hash(tup, (0,))
+            handle.key_bytes_many(tuples, (0, 1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(h,))
+                       for h in handles]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # 500 one-column keys and 500 two-column keys
+        assert cache.misses == 1_000
+        assert cache.hits == 8 * 2 * 2_000 - 1_000
+
+
+def _config(num_nodes=1, executor=None):
     return ClusterConfig(
-        num_nodes=1, partitions_per_node=2,
+        num_nodes=num_nodes, partitions_per_node=2,
         node=NodeConfig(buffer_cache_pages=64),
+        executor=executor or ExecutorConfig(),
     )
+
+
+def _join_group_job():
+    """Join 2,000 tuples to 50 keys, count the matches per partition on
+    an int column no connector has keyed (so several workers memoize
+    the same new key at once), then sum the partial counts grouped on a
+    float column (never memoized)."""
+    job = JobSpecification()
+    left = job.add_operator(InMemorySourceOp(
+        [(i % 50, i) for i in range(2_000)]))
+    right = job.add_operator(InMemorySourceOp(
+        [(k, 1000 + k % 25) for k in range(50)]))
+    join = job.add_operator(HybridHashJoinOp([0], [0]))
+    partial = job.add_operator(HashGroupByOp(
+        [3], [AggregateCall("count", ColumnRef(1))]))
+    as_float = job.add_operator(AssignOp([
+        FunctionCall("numeric_add", [ColumnRef(0), Const(0.5)])]))
+    final = job.add_operator(HashGroupByOp(
+        [2], [AggregateCall("sum", ColumnRef(1))]))
+    sink = job.add_operator(ResultWriterOp())
+    job.connect(HashPartitionConnector([0]), left, join, 0)
+    job.connect(HashPartitionConnector([0]), right, join, 1)
+    job.connect(OneToOneConnector(), join, partial)
+    job.connect(OneToOneConnector(), partial, as_float)
+    job.connect(HashPartitionConnector([2]), as_float, final)
+    job.connect(OneToOneConnector(), final, sink)
+    return job
 
 
 def _join_job():

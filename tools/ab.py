@@ -4,15 +4,18 @@
     python3 tools/ab.py <rev> [--workload W ...] [--pairs N] [--seed S]
                         [--seconds T]
 
-``<rev>`` (the parent) and the working tree's tracked files (the change,
-via ``git stash create``, which moves no ref) are exported with ``git
-archive`` into temporary directories, so both sides run from fresh
+``<rev>`` (the parent) and the working tree (the change: tracked files
+via ``git stash create``, which moves no ref, plus every untracked file
+that ``.gitignore`` does not exclude, listed in the report header) are
+exported into temporary directories, so both sides run from fresh
 checkouts and an interrupted run leaves nothing behind in the repository.
 Per workload (default: all of ``BENCHMARK.json``) it runs N pairs of
 ``bench/run.py --workload W --seed s --seconds T --trace 0``, seeds S to
-S+N-1, alternating which side runs first, and prints for each end-to-end
-metric both medians, change / parent, the pairs the change won, the
-parent's interquartile range and a verdict against the metric's bound.
+S+N-1, alternating which side runs first (N must be even, so each order
+runs equally often), and prints for each end-to-end metric both medians,
+change / parent, the pairs the change won, the parent's interquartile
+range and a verdict against the metric's bound, then the ``ops_per_s``
+ratio within each order, so an order effect shows.
 Exit status 1: a median worse than its bound, or a failed operation.
 Only subprocesses; nothing is imported from ``src/`` or ``bench/``.
 """
@@ -29,18 +32,31 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+def git(*args: str, root: str = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=root, check=True,
                           stdout=subprocess.PIPE, text=True).stdout.strip()
 
 
-def export(rev: str, dst: str) -> None:
-    archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT,
+def export(rev: str, dst: str, root: str = ROOT) -> None:
+    archive = subprocess.Popen(["git", "archive", rev], cwd=root,
                                stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", dst], stdin=archive.stdout,
                    check=True)
     if archive.wait() != 0:
         sys.exit(f"git archive {rev} failed")
+
+
+def export_change(dst: str, root: str = ROOT) -> list:
+    """Export the working tree into ``dst``: tracked files with their
+    uncommitted edits, plus the untracked, not-ignored files (returned)."""
+    export(git("stash", "create", root=root) or "HEAD", dst, root)
+    untracked = [name for name in git("ls-files", "-z", "--others",
+                                      "--exclude-standard",
+                                      root=root).split("\0") if name]
+    for name in untracked:
+        os.makedirs(os.path.dirname(os.path.join(dst, name)), exist_ok=True)
+        shutil.copy2(os.path.join(root, name), os.path.join(dst, name))
+    return untracked
 
 
 def bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -71,6 +87,17 @@ def compare(metrics: list, parent: list, change: list) -> tuple[list, bool]:
     return rows, ok
 
 
+def order_ratios(parent: list, change: list) -> tuple[float, float]:
+    """Change / parent median of ``ops_per_s`` over the pairs the parent
+    ran first (even indexes) and over those the change ran first (odd)."""
+    def ratio(first: int) -> float:
+        p = [r["metrics"]["ops_per_s"]["value"] for r in parent[first::2]]
+        c = [r["metrics"]["ops_per_s"]["value"] for r in change[first::2]]
+        pm = statistics.median(p)
+        return statistics.median(c) / pm if pm else float("nan")
+    return ratio(0), ratio(1)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("rev")
@@ -79,6 +106,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--seconds", type=float)
     args = parser.parse_args()
+    if args.pairs < 2 or args.pairs % 2:
+        parser.error("--pairs must be even, so each side runs first equally"
+                     " often")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
@@ -87,10 +117,12 @@ def main() -> int:
     tmp = tempfile.mkdtemp(prefix="ab-")
     parent, change = os.path.join(tmp, "parent"), os.path.join(tmp, "change")
     try:
-        for rev, dst in ((sha, parent), (git("stash", "create") or "HEAD",
-                                         change)):
-            os.mkdir(dst)
-            export(rev, dst)
+        os.mkdir(parent)
+        os.mkdir(change)
+        export(sha, parent)
+        untracked = export_change(change)
+        print(f"change: working tree + {len(untracked)} untracked file(s)"
+              + "".join(f"\n  {name}" for name in untracked))
         ok = True
         for w in workloads:
             runs = {parent: [], change: []}
@@ -110,6 +142,9 @@ def main() -> int:
             for name, bound, pm, cm, ratio, wins, iqr, verdict in rows:
                 print(f"{name:<20} {bound:>5g} {pm:>12.6g} {cm:>12.6g}"
                       f" {ratio:>7.3f} {wins:>6} {iqr:>11.4g}  {verdict}")
+            first_p, first_c = order_ratios(runs[parent], runs[change])
+            print(f"ops_per_s ratio by order: parent first {first_p:.3f},"
+                  f" change first {first_c:.3f}")
         print("\nverdict:", "pass" if ok else "FAIL")
         return 0 if ok else 1
     finally:
