@@ -6,19 +6,47 @@ by the program; for one commit, seed and size they repeat bit for bit.
 This runs each workload of ``BENCHMARK.json`` once at reduced scale,
 untraced (``bench/run.py`` as a subprocess, last stdout line = JSON),
 requires ``failed == 0`` and ``attempted > 0``, and requires the three
-metrics to *equal* ``tools/model_gate_expected.json``.  A deliberate
-cost-model or storage-format change regenerates that file in the same
-PR (``python3 tools/model_gate.py --write``) and says why.
+metrics to *equal* ``tools/model_gate_expected.json``.
+
+Three aggregates per workload miss a change that moves cost between two
+operators and nets to zero, so the gate also runs a fixed in-process
+corpus of jobs (the twelve ``bench/queries.py`` queries over a small
+``bench/datagen.py`` load, a spilling sort, join and group-by, a
+multi-row UPSERT and a DELETE) and requires, per job, a digest of the
+rows, ``simulated_us``, each operator's name, ``tuples_out`` and
+``elapsed_us``, and the stage list (ops, width, pipelined) to equal
+``tools/model_gate_jobs.json``.  A mismatch names the first differing
+job and operator.
+
+A deliberate cost-model or storage-format change regenerates both files
+in the same PR (``python3 tools/model_gate.py --write``) and says why.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPECTED = os.path.join(ROOT, "tools", "model_gate_expected.json")
+EXPECTED_JOBS = os.path.join(ROOT, "tools", "model_gate_jobs.json")
 METRICS = ("simulated_us_per_op", "write_amp", "space_amp")
+
+#: run on a cluster whose operators get two frames of 16 tuples each,
+#: so the sort, the join and the group-by all spill to run files
+SPILL_STATEMENTS = (
+    ("spill_sort", "SELECT VALUE m.messageId FROM Messages m "
+                   "ORDER BY m.message;"),
+    ("spill_join", "SELECT VALUE [u.alias, m.messageId] "
+                   "FROM Users u JOIN Messages m ON m.authorId = u.id;"),
+    ("spill_group", "SELECT authorId, COUNT(*) AS n FROM Messages m "
+                    "GROUP BY m.authorId AS authorId;"),
+    ("upsert", 'UPSERT INTO Users ([{"id": 3, "alias": "u3b", "age": 70}, '
+               '{"id": 5000, "alias": "new", "age": 19}]);'),
+    ("delete", "DELETE FROM Messages m WHERE m.authorId < 4;"),
+)
 
 
 def measure(workload: str) -> dict:
@@ -34,26 +62,120 @@ def measure(workload: str) -> dict:
     return {m: run["metrics"][m]["value"] for m in METRICS}
 
 
+def observe(result) -> dict:
+    """What one job must repeat exactly: no wall time, only the model."""
+    profile = result.profile
+    rows = json.dumps(result.rows, sort_keys=True, default=repr)
+    return {
+        "rows": hashlib.sha256(rows.encode()).hexdigest()[:16],
+        "simulated_us": profile.simulated_us,
+        "operators": [[op.name, op.total_tuples_out, op.elapsed_us]
+                      for op in profile.operators],
+        "stages": [[s["ops"], s["width"], s["pipelined"]]
+                   for s in profile.stages],
+    }
+
+
+def run_corpus() -> dict:
+    """Job name -> :func:`observe` of each job of the fixed corpus."""
+    sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "src")]
+    import datagen
+    import queries
+    from repro import ClusterConfig, NodeConfig, connect
+
+    def config(frame_size, frames):
+        return ClusterConfig(frame_size=frame_size, node=NodeConfig(
+            buffer_cache_pages=64, memory_component_pages=8,
+            sort_memory_frames=frames, join_memory_frames=frames,
+            group_memory_frames=frames))
+
+    instances = (
+        (config(128, 32), "analytic_mix", datagen.analytic_data(42, 50, 400),
+         queries.ANALYTIC),
+        (config(128, 32), "tpcch_mix", datagen.tpcch_data(42, 3),
+         queries.TPCCH),
+        (config(16, 2), "analytic_mix", datagen.analytic_data(42, 200, 1600),
+         [queries.Query(name, text, True, ())
+          for name, text in SPILL_STATEMENTS]),
+    )
+    jobs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (cfg, ddl, data, statements) in enumerate(instances):
+            db = connect(os.path.join(tmp, str(i)), cfg)
+            try:
+                db.execute(queries.DDL[ddl])
+                # like the benchmark: nine tenths flushed, the rest in
+                # the memory components
+                for dataset, records in data.items():
+                    cut = len(records) * 9 // 10
+                    for record in records[:cut]:
+                        db.cluster.insert_record("Default." + dataset, record)
+                    db.flush_dataset(dataset)
+                    for record in records[cut:]:
+                        db.cluster.insert_record("Default." + dataset, record)
+                for q in statements:
+                    result = db.execute(q.text)
+                    oracle = q.name in queries.QUERY_NAMES
+                    if oracle and not queries.rows_match(
+                            result.rows, queries.expected_rows(q.name, data),
+                            q.ordered):
+                        sys.exit(f"{q.name}: rows differ from the oracle")
+                    jobs[q.name] = observe(result)
+            finally:
+                db.close()
+    return json.loads(json.dumps(jobs))
+
+
+def first_difference(expected: dict, measured: dict) -> str | None:
+    """The first differing job, and in it the first differing operator."""
+    for name in list(expected) + [n for n in measured if n not in expected]:
+        want, got = expected.get(name), measured.get(name)
+        if want == got:
+            continue
+        if want is None or got is None:
+            return f"job {name}: expected {want!r}, measured {got!r}"
+        for i, (a, b) in enumerate(zip(want["operators"], got["operators"])):
+            if a != b:
+                return (f"job {name}, operator {i} {a[0]}: expected "
+                        f"[name, tuples_out, elapsed_us] = {a}, measured {b}")
+        for key in ("operators", "stages", "simulated_us", "rows"):
+            if want[key] != got[key]:
+                return (f"job {name}: {key} expected {want[key]!r}, "
+                        f"measured {got[key]!r}")
+    return None
+
+
 def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         workloads = [w["name"] for w in json.load(f)["workloads"]]
     measured = {w: measure(w) for w in workloads}
+    jobs = run_corpus()
     if sys.argv[1:] == ["--write"]:
-        with open(EXPECTED, "w") as f:
-            json.dump(measured, f, indent=2)
-            f.write("\n")
+        for path, value in ((EXPECTED, measured), (EXPECTED_JOBS, jobs)):
+            with open(path, "w") as f:
+                json.dump(value, f, indent=2)
+                f.write("\n")
         return 0
     with open(EXPECTED) as f:
         expected = json.load(f)
-    if measured == expected:
-        print(f"model gate: {len(workloads) * len(METRICS)} numbers equal")
-        return 0
+    with open(EXPECTED_JOBS) as f:
+        expected_jobs = json.load(f)
+    ok = True
     for w in workloads:
         for m in METRICS:
             want = expected.get(w, {}).get(m)
             if want != measured[w][m]:
+                ok = False
                 print(f"{w}.{m}: expected {want!r}, "
                       f"measured {measured[w][m]!r}")
+    difference = first_difference(expected_jobs, jobs)
+    if difference is not None:
+        ok = False
+        print(difference)
+    if ok:
+        print(f"model gate: {len(workloads) * len(METRICS)} numbers equal, "
+              f"{len(jobs)} jobs equal per operator")
+        return 0
     print("model clock drifted; if the change is deliberate, regenerate "
           "with `python3 tools/model_gate.py --write` and say why")
     return 1
