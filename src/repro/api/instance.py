@@ -108,7 +108,6 @@ class AsterixInstance:
 
         from repro.common.config import (
             CostModel,
-            ExecutorConfig,
             NodeConfig,
             ResilienceConfig,
         )
@@ -118,7 +117,8 @@ class AsterixInstance:
 
         def section(cls, name):
             # the marker may have been written by a version whose config
-            # had options this one dropped: keep only the current fields
+            # had options (or whole sections, such as "executor") this one
+            # dropped: keep only the current fields of the current sections
             known = {f.name for f in dataclasses.fields(cls)}
             return cls(**{k: v for k, v in data.get(name, {}).items()
                           if k in known})
@@ -130,7 +130,6 @@ class AsterixInstance:
             frame_size=data["frame_size"],
             node=section(NodeConfig, "node"),
             cost=section(CostModel, "cost"),
-            executor=section(ExecutorConfig, "executor"),
             resilience=section(ResilienceConfig, "resilience"),
         )
 

@@ -65,31 +65,10 @@ class NodeConfig:
     #: Cap, in *wall* milliseconds, on how long an admission (or feed)
     #: request queues for frames before failing with a typed
     #: ``MemoryPressureFault`` (ASX3505).  Queueing only ever happens
-    #: under real thread concurrency, so this is a wall-clock knob; it
-    #: never touches the simulated clock.
+    #: when concurrent sessions or feed pumps contend for one node's
+    #: frames, so this is a wall-clock knob; it never touches the
+    #: simulated clock.
     admission_timeout_ms: float = 2000.0
-
-
-@dataclass
-class ExecutorConfig:
-    """How the cluster controller runs Hyracks jobs.
-
-    Every job runs one way — stages of fused streaming operators,
-    expressions compiled once per job, frame-at-a-time sort/group/
-    aggregate loops (docs/ARCHITECTURE.md, "Job execution").  ``mode``
-    is the one deployment choice: the parallel executor (the default:
-    the partitions of each stage run concurrently, one worker per node,
-    with per-node execution serialized in partition order so the
-    simulated clock and all node-local state stay deterministic) or the
-    serial one (same stage decomposition, executed inline — the
-    determinism check the equivalence suite compares against).
-    """
-
-    mode: str = "parallel"            # "parallel" | "serial"
-
-    @property
-    def parallel(self) -> bool:
-        return self.mode == "parallel"
 
 
 @dataclass
@@ -124,7 +103,6 @@ class ClusterConfig:
     frame_size: int = DEFAULT_FRAME_SIZE
     node: NodeConfig = field(default_factory=NodeConfig)
     cost: CostModel = field(default_factory=CostModel)
-    executor: ExecutorConfig = field(default_factory=ExecutorConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 
     @property

@@ -14,16 +14,15 @@ Per DESIGN.md (Substitutions), the cluster is simulated in one process:
   map (primary-key hash partitioning), and job execution.
 
 Jobs are split into *stages* at pipeline breakers and executed by the
-pipelined, parallel executor (:mod:`repro.hyracks.executor`): within a
-stage, fused chains of streaming operators pass ``frame_size``-tuple
-frames instead of materializing; across a stage, the partitions run
-concurrently — one worker per node, each node's partitions in ascending
-order under the node's lock — while the profiler accounts them as
-parallel (elapsed = max over partitions).  The job's simulated time is
-the sum of operator elapsed times along the (serialized) dependency
-chain, applied identically to every configuration and to both executor
-modes (``config.executor``), which is what lets experiment E3 exhibit
-the scale-out *shape* of the paper's 180-node test on one machine.
+pipelined executor (:mod:`repro.hyracks.executor`): within a stage,
+fused chains of streaming operators pass ``frame_size``-tuple frames
+instead of materializing; across a stage, the partitions run inline on
+the calling thread, in ascending order, each under its node's lock —
+while the profiler accounts them as parallel (elapsed = max over
+partitions).  The job's simulated time is the sum of operator elapsed
+times along the (serialized) dependency chain, applied identically to
+every configuration, which is what lets experiment E3 exhibit the
+scale-out *shape* of the paper's 180-node test on one machine.
 
 Layer contract: this module accepts a validated
 :class:`~repro.hyracks.job.JobSpecification` (from
@@ -49,7 +48,7 @@ from dataclasses import dataclass, field
 
 from repro.common.config import ClusterConfig
 from repro.common.errors import MetadataError
-from repro.hyracks.executor import JobExecutor, make_worker_pool
+from repro.hyracks.executor import JobExecutor
 from repro.hyracks.job import JobSpecification, prepare_job
 from repro.hyracks.memory import MemoryGovernor
 from repro.hyracks.profiler import JobProfile
@@ -99,10 +98,10 @@ class NodeController:
         #: components carries ``node=node_id``, so schedules can pin
         #: rules to one node's (serialized, deterministic) hit stream.
         self.injector = (injector or NO_FAULTS).bind(node=node_id)
-        #: Serializes task execution on this node: the parallel executor
-        #: runs one task at a time per node (in ascending partition
-        #: order), so the buffer cache, WAL, and file manager see the
-        #: exact same operation sequence as under the serial executor.
+        #: Serializes task execution on this node.  One job runs its
+        #: tasks inline, but concurrent sessions call ``run_job`` from
+        #: several threads; the lock keeps their tasks on one node from
+        #: interleaving in the buffer cache, WAL, and file manager.
         self.lock = threading.RLock()
         self.devices = [
             IODevice(d, os.path.join(root, f"iodevice{d}"))
@@ -354,7 +353,6 @@ class ClusterController:
             for n in range(self.config.num_nodes)
         ]
         self.datasets: dict[str, DatasetInfo] = {}
-        self._pool = None                  # lazy node-worker pool
 
     # -- topology ---------------------------------------------------------------
 
@@ -462,9 +460,9 @@ class ClusterController:
         with its simulated costs.
 
         Fault handling: a :class:`~repro.resilience.ResilienceFault`
-        raised anywhere in an attempt aborts the whole attempt (the
-        executor joins every in-flight task before re-raising, so no
-        stage is left half-running), crashed nodes are restarted with WAL
+        raised anywhere in an attempt aborts the whole attempt (tasks
+        run inline, so the first fault stops the attempt and no later
+        task starts), crashed nodes are restarted with WAL
         replay, and the job is retried from scratch under capped
         exponential backoff — up to ``config.resilience.max_job_attempts``
         attempts total."""
@@ -514,8 +512,8 @@ class ClusterController:
             result_tuples = JobExecutor(
                 self, job, profile, span, reservations=reservations).run()
         finally:
-            # the executor has joined every task by now, so operator
-            # grants borrowed against these reservations are back
+            # every task has returned by now, so operator grants
+            # borrowed against these reservations are back
             for grant in reservations.values():
                 grant.release()
         diff = self._total_io().diff(io_before)
@@ -557,8 +555,8 @@ class ClusterController:
 
     def _purge_attempt_temp_files(self, span: object = None) -> None:
         """Delete spill files a failed attempt left behind on ALIVE
-        nodes (taking each node's lock: the executor has already joined
-        its in-flight tasks, so nothing is mid-write)."""
+        nodes (taking each node's lock: the attempt's tasks have all
+        returned, so nothing of it is mid-write)."""
         purged = 0
         for node in self.nodes:
             if node.state is NodeState.ALIVE:
@@ -625,13 +623,6 @@ class ClusterController:
             self.crash_node(fault.node, span)
         self.ensure_alive(span)
 
-    def worker_pool(self):
-        """The lazily-created node-worker pool used by the parallel
-        executor (one thread per node)."""
-        if self._pool is None:
-            self._pool = make_worker_pool(self.config)
-        return self._pool
-
     def _total_io(self) -> IOStats:
         total = IOStats()
         for node in self.nodes:
@@ -653,8 +644,5 @@ class ClusterController:
         return total
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         for node in self.nodes:
             node.close()

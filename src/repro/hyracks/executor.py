@@ -1,4 +1,4 @@
-"""The pipelined, parallel Hyracks job executor.
+"""The pipelined Hyracks job executor.
 
 Accounting is per (operator, partition) — the simulated clock sums
 :class:`~repro.hyracks.profiler.PartitionCost` sinks — while execution
@@ -21,23 +21,18 @@ follows Hyracks:
   arrives through a repartitioning connector) heads its own stage and
   is driven through the same task over its routed input.
 
-* **Parallel partitions.**  The partitions of a stage execute
-  concurrently on a worker pool — one worker per *node*, with each node's
-  partitions executed in ascending partition order under the node's lock.
-  Every piece of shared mutable state is per-node (buffer cache, WAL,
-  file manager, LSM partitions), so each node observes the exact same
-  operation sequence as the serial executor and the simulated clock,
-  result tuples, and tuple counts are byte-identical in both modes.
-  Real page-file I/O releases the GIL, so scan/sort/join-heavy jobs
-  overlap I/O across nodes.
-
-Wall-clock time is the only thing the modes are allowed to disagree on.
+* **Inline partitions.**  The coordinator runs each stage's partitions
+  one after another on the calling thread, in ascending partition order,
+  each under its node's lock (which serializes the tasks of concurrent
+  sessions on one node).  Parallelism is a simulated-clock quantity:
+  the profiler charges each (operator, partition) separately and takes
+  an operator's elapsed time as the max over its partitions, as if they
+  ran concurrently on separate machines.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.hyracks.connectors import OneToOneConnector
@@ -133,10 +128,8 @@ def build_stages(job: JobSpecification, num_partitions: int) -> list:
 class JobExecutor:
     """Executes one validated job on a cluster controller.
 
-    ``mode`` comes from ``config.executor``; the coordinator (this
-    class) routes connectors and enforces stage barriers on the calling
-    thread, and dispatches per-partition tasks either inline (serial)
-    or one worker per node (parallel).
+    The coordinator (this class) routes connectors, enforces stage
+    barriers and runs every per-partition task on the calling thread.
     """
 
     def __init__(self, cluster, job: JobSpecification, profile, span=None,
@@ -149,7 +142,6 @@ class JobExecutor:
         #: (empty when the caller runs without admission control)
         self.reservations = reservations or {}
         self.config = cluster.config
-        self.exec_config = cluster.config.executor
         #: job-lifetime key-bytes/hash memo shared by partitioning
         #: connectors, hash-join build/probe, group-by, and distinct
         self.key_cache = KeyCache()
@@ -244,36 +236,14 @@ class JobExecutor:
         for op_id in stage.op_ids[1:]:
             for p in range(width):
                 op_profiles[op_id].cost(p)
-        # dispatch the partitions
-        stage_outputs: list = [None] * width
-        node_groups: dict = {}
-        for p in range(width):
-            node = (self.cluster.nodes[0] if width == 1
-                    else self.cluster.node_of_partition(p))
-            node_groups.setdefault(node.node_id, (node, []))[1].append(p)
+        # run the partitions inline, in ascending order (a one-partition
+        # stage runs on node 0)
         self._m_tasks.inc(width)
-
-        def run_group(node, partitions):
-            for p in partitions:
-                stage_outputs[p] = self._run_partition(
-                    stage, node, p, routed_per_edge, op_profiles)
-
-        groups = [node_groups[nid] for nid in sorted(node_groups)]
-        if self.exec_config.parallel and len(groups) > 1:
-            pool = self.cluster.worker_pool()
-            futures = [pool.submit(run_group, node, parts)
-                       for node, parts in groups]
-            errors = []
-            for future in futures:
-                exc = future.exception()
-                if exc is not None:
-                    errors.append(exc)
-            if errors:
-                raise errors[0]
-        else:
-            for node, parts in groups:
-                run_group(node, parts)
-        return stage_outputs
+        return [
+            self._run_partition(stage, self.cluster.node_of_partition(p), p,
+                                routed_per_edge, op_profiles)
+            for p in range(width)
+        ]
 
     # -- one (stage, partition) task ----------------------------------------
 
@@ -294,13 +264,10 @@ class JobExecutor:
             node.injector.hit("executor.operator", partition=partition,
                               op=repr(head), stage=stage.index)
             reservation = self.reservations.get(node.node_id)
-            # one key-cache handle per task: its lookup counts stay on
-            # this worker thread
-            keys = self.key_cache.handle()
             head_ctx = TaskContext(
                 node, config, op_profiles[stage.head].cost(partition),
                 span=self.span, reservation=reservation,
-                key_cache=keys)
+                key_cache=self.key_cache)
             head_inputs = [routed[partition] for routed in routed_per_edge]
             head_ctx.cost.tuples_in += sum(len(x) for x in head_inputs)
             if head.streaming:
@@ -318,7 +285,7 @@ class JobExecutor:
                     TaskContext(node, config,
                                 op_profiles[op_id].cost(partition),
                                 span=self.span, reservation=reservation,
-                                key_cache=keys),
+                                key_cache=self.key_cache),
                     partition,
                 )
                 for op_id, op in zip(stage.op_ids[1:], ops[1:])
@@ -355,11 +322,3 @@ class JobExecutor:
             if not data:
                 return
         sink.extend(data)
-
-
-def make_worker_pool(config) -> ThreadPoolExecutor:
-    """The cluster's node-worker pool: one worker per node."""
-    return ThreadPoolExecutor(
-        max_workers=max(1, config.num_nodes),
-        thread_name_prefix="hyracks-node",
-    )

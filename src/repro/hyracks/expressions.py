@@ -14,12 +14,13 @@ Operators never interpret the tree per tuple: :func:`compile_expr` walks
 it **once per job** (``OperatorDescriptor.prepare``) and emits nested
 closures, so per-tuple evaluation pays no attribute lookups, no registry
 indirection, and no argument-list building for the common unary/binary
-shapes.  ``expr.evaluate(tup, env)`` — tree interpretation, one
-Python-level dispatch per IR node — is the one-shot evaluator (index
-bounds, DML payloads) and the reference semantics: compiled closures
-MUST be deterministic and side-effect free, and must produce
-byte-identical results to ``evaluate`` on every input, which the
-hypothesis suite in tests/hyracks/test_expression_compile.py checks.
+shapes.  That holds for every operator, including the one-shot uses
+(index-search bounds, DML records and keys).  ``expr.evaluate(tup,
+env)`` — tree interpretation, one Python-level dispatch per IR node —
+is kept only as the reference semantics: compiled closures MUST be
+deterministic and side-effect free, and must produce byte-identical
+results to ``evaluate`` on every input, which the hypothesis suite in
+tests/hyracks/test_expression_compile.py checks against it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ class RuntimeExpr:
     """Base class; ``evaluate(tup, env)`` returns an ADM value."""
 
     def evaluate(self, tup, env=None):
+        """Interpret the tree over ``tup``.  No operator calls this (they
+        run :func:`compile_expr` closures); it is the reference the
+        compiled closures are tested against."""
         raise NotImplementedError
 
     def _compile(self):

@@ -19,14 +19,11 @@ computed directly, per call.  Every entry is ``(plain_key_bytes,
 fnv1a_bytes of those bytes)``, exactly what the uncached path returns,
 so partition placement and routing do not depend on the cache.
 
-Thread safety.  The executor creates one cache per job run.  The
-coordinator routes connectors through the cache itself, and each
-operator task keys through its own :meth:`KeyCache.handle`, which shares
-the memo and counts its own lookups.  Memo reads and stores are single dict
-ops, safe under the GIL; two workers that miss the same key at once
-both compute it and store the same entry.  Counters are never shared
-between threads, so hit/miss totals are exact whatever the
-interleaving: misses are the memo entries the job created plus the keys
+Thread safety.  The executor creates one cache per job run, and a job
+runs all of its tasks and connector routing on one thread, so the memo
+and the counters are never shared between threads (concurrent sessions
+each run their own job, with their own cache).  Hit/miss totals are
+exact: misses are the memo entries the job created plus the keys
 computed without storing, hits are all lookups minus misses.
 
 The cache changes nothing observable except wall-clock time: simulated
@@ -67,36 +64,25 @@ class KeyCache:
     without limit.
     """
 
-    __slots__ = ("_memo", "_counters", "max_entries", "lookups", "uncached")
+    __slots__ = ("_memo", "max_entries", "lookups", "uncached")
 
     def __init__(self, max_entries: int = 1 << 20):
-        #: memo key -> (key_bytes, key_hash); shared with every handle
+        #: memo key -> (key_bytes, key_hash)
         self._memo: dict = {}
-        #: this cache and its handles: the thread-confined lookup counters
-        self._counters: list = [self]
         self.max_entries = max_entries
         self.lookups = 0
         #: keys computed without storing (not memoizable, or past the cap)
         self.uncached = 0
 
-    def handle(self) -> "KeyCache":
-        """A view for one thread: shares this cache's memo and cap, and
-        counts its own lookups so no counter is shared between threads."""
-        view = KeyCache(self.max_entries)
-        view._memo = self._memo
-        view._counters = self._counters
-        self._counters.append(view)
-        return view
-
     @property
     def misses(self) -> int:
         """Keys computed this job: memo entries plus uncached computes."""
-        return len(self._memo) + sum(c.uncached for c in self._counters)
+        return len(self._memo) + self.uncached
 
     @property
     def hits(self) -> int:
         """Lookups served from the memo without computing."""
-        return sum(c.lookups for c in self._counters) - self.misses
+        return self.lookups - self.misses
 
     def _entry(self, tup, cols):
         """``(key_bytes, key_hash)`` of ``tup``'s key, from the memo or
@@ -149,13 +135,11 @@ class KeyCache:
     def flush_metrics(self, registry) -> None:
         """Fold the job's hit/miss totals into the metrics registry (one
         locked increment per job instead of two per tuple), then empty
-        the memo and zero every handle's counters."""
+        the memo and zero the counters."""
         hits, misses = self.hits, self.misses
         if hits:
             registry.counter("hyracks.batch.key_cache_hits").inc(hits)
         if misses:
             registry.counter("hyracks.batch.key_cache_misses").inc(misses)
         self._memo.clear()
-        for c in self._counters:
-            c.lookups = c.uncached = 0
-        del self._counters[1:]
+        self.lookups = self.uncached = 0

@@ -88,9 +88,8 @@ class MemoryGrant:
 class MemoryGovernor:
     """Arbitrates one node's working-memory frame budget.
 
-    Thread-safe: admissions and feed pumps request from coordinator /
-    pump threads while operator grants arrive from the node's worker
-    thread.  ``used`` never exceeds ``capacity``; ``peak`` records the
+    Thread-safe: concurrent sessions admit queries and acquire operator
+    grants from their own threads, and feed pumps request from theirs.  ``used`` never exceeds ``capacity``; ``peak`` records the
     high-water mark (mirrored to the ``memory.node<N>.peak_frames``
     gauge, which the contention tests assert against).
     """
@@ -195,8 +194,8 @@ class MemoryGovernor:
         from the query's admission ``reservation`` (its guaranteed
         floor), then from the free pool; the grant is therefore at least
         1 frame for any admitted query and the operator spills more
-        instead of waiting (waiting here could deadlock: operator tasks
-        hold the node lock)."""
+        instead of waiting (waiting here could deadlock: the operator's
+        task holds the node lock, which the grant holder may need)."""
         desired = max(1, int(desired))
         with self._cond:
             borrowed = 0

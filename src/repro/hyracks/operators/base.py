@@ -37,8 +37,8 @@ class TaskContext:
         self.cost = cost
         self.span = span
         self.reservation = reservation
-        #: this task's handle on the job's KeyCache (None when an operator
-        #: runs outside the executor, e.g. in a direct unit test)
+        #: the job's KeyCache (None when an operator runs outside the
+        #: executor, e.g. in a direct unit test)
         self.key_cache = key_cache
 
     # -- key extraction ----------------------------------------------------------

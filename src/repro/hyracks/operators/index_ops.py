@@ -10,17 +10,17 @@ from __future__ import annotations
 
 from repro.adm.comparators import comparable_tuples, tuple_key
 from repro.adm.values import ARectangle
-from repro.hyracks.expressions import RuntimeExpr
+from repro.hyracks.expressions import RuntimeExpr, compile_expr
 from repro.hyracks.job import OperatorDescriptor
 
 
-class PrimaryKeySearchOp(OperatorDescriptor):
-    """Primary-index point/range search: emits (pk..., record) like a
-    scan, but bounded.  Bound expressions are evaluated once against the
-    empty tuple (bounds are constants after optimization)."""
+class _RangeSearchOp(OperatorDescriptor):
+    """A search bounded by ``lo``/``hi`` key expressions.  The bounds are
+    compiled once per job (:meth:`prepare`) and evaluated once per
+    partition against the empty tuple (bounds are constants after
+    optimization); a None bound is open."""
 
     num_inputs = 0
-    name = "primary-search"
 
     def __init__(self, dataset: str, lo: list | None, hi: list | None,
                  lo_inclusive: bool = True, hi_inclusive: bool = True):
@@ -29,16 +29,29 @@ class PrimaryKeySearchOp(OperatorDescriptor):
         self.hi = hi
         self.lo_inclusive = lo_inclusive
         self.hi_inclusive = hi_inclusive
+        self._bounds = None    # compiled (lo, hi), set by prepare()
 
-    def _bound(self, exprs):
-        if exprs is None:
-            return None
-        return tuple(e.evaluate(()) for e in exprs)
+    def prepare(self, config):
+        self._bounds = [None if exprs is None
+                        else [compile_expr(e) for e in exprs]
+                        for exprs in (self.lo, self.hi)]
+
+    def _bound_values(self) -> list:
+        """``[lo, hi]``, each a key tuple or None."""
+        return [None if evals is None else tuple(e(()) for e in evals)
+                for evals in self._bounds]
+
+
+class PrimaryKeySearchOp(_RangeSearchOp):
+    """Primary-index point/range search: emits (pk..., record) like a
+    scan, but bounded."""
+
+    name = "primary-search"
 
     def run(self, ctx, partition, inputs):
         storage = ctx.storage_partition(self.dataset, partition)
         before = ctx.node.io_snapshot()
-        lo, hi = self._bound(self.lo), self._bound(self.hi)
+        lo, hi = self._bound_values()
         out = []
         for pk, record in storage.scan(
                 lo, hi, lo_inclusive=self.lo_inclusive,
@@ -59,33 +72,23 @@ class PrimaryKeySearchOp(OperatorDescriptor):
         return f"primary-search({self.dataset})"
 
 
-class SecondaryBTreeSearchOp(OperatorDescriptor):
+class SecondaryBTreeSearchOp(_RangeSearchOp):
     """Secondary B+ tree search: emits primary-key tuples."""
 
-    num_inputs = 0
     name = "btree-search"
 
     def __init__(self, dataset: str, index_name: str,
                  lo: list | None, hi: list | None,
                  lo_inclusive: bool = True, hi_inclusive: bool = True):
-        self.dataset = dataset
+        super().__init__(dataset, lo, hi, lo_inclusive, hi_inclusive)
         self.index_name = index_name
-        self.lo = lo
-        self.hi = hi
-        self.lo_inclusive = lo_inclusive
-        self.hi_inclusive = hi_inclusive
-
-    def _bound(self, exprs):
-        if exprs is None:
-            return None
-        return tuple(e.evaluate(()) for e in exprs)
 
     def run(self, ctx, partition, inputs):
         storage = ctx.storage_partition(self.dataset, partition)
         before = ctx.node.io_snapshot()
         out = [
             pk for pk in storage.search_btree(
-                self.index_name, self._bound(self.lo), self._bound(self.hi),
+                self.index_name, *self._bound_values(),
                 lo_inclusive=self.lo_inclusive,
                 hi_inclusive=self.hi_inclusive)
         ]
@@ -98,7 +101,7 @@ class SecondaryBTreeSearchOp(OperatorDescriptor):
         return f"btree-search({self.dataset}.{self.index_name})"
 
 
-class ArrayBTreeSearchOp(OperatorDescriptor):
+class ArrayBTreeSearchOp(SecondaryBTreeSearchOp):
     """Multi-valued (array) index search: emits *deduplicated* primary-key
     tuples.
 
@@ -110,23 +113,7 @@ class ArrayBTreeSearchOp(OperatorDescriptor):
     byte-identical to the scan plan — the residual re-derives the exact
     per-element multiplicity."""
 
-    num_inputs = 0
     name = "array-search"
-
-    def __init__(self, dataset: str, index_name: str,
-                 lo: list | None, hi: list | None,
-                 lo_inclusive: bool = True, hi_inclusive: bool = True):
-        self.dataset = dataset
-        self.index_name = index_name
-        self.lo = lo
-        self.hi = hi
-        self.lo_inclusive = lo_inclusive
-        self.hi_inclusive = hi_inclusive
-
-    def _bound(self, exprs):
-        if exprs is None:
-            return None
-        return tuple(e.evaluate(()) for e in exprs)
 
     def run(self, ctx, partition, inputs):
         from repro.observability.metrics import get_registry
@@ -138,7 +125,7 @@ class ArrayBTreeSearchOp(OperatorDescriptor):
         out = []
         postings = 0
         for pk in storage.search_btree(
-                self.index_name, self._bound(self.lo), self._bound(self.hi),
+                self.index_name, *self._bound_values(),
                 lo_inclusive=self.lo_inclusive,
                 hi_inclusive=self.hi_inclusive):
             postings += 1
@@ -168,9 +155,13 @@ class SecondaryRTreeSearchOp(OperatorDescriptor):
         self.dataset = dataset
         self.index_name = index_name
         self.window = window
+        self._window = None    # compiled closure, set by prepare()
+
+    def prepare(self, config):
+        self._window = compile_expr(self.window)
 
     def run(self, ctx, partition, inputs):
-        window = self.window.evaluate(())
+        window = self._window(())
         if not isinstance(window, ARectangle):
             window = window.mbr()  # circles/polygons search by MBR
         storage = ctx.storage_partition(self.dataset, partition)
@@ -196,9 +187,13 @@ class InvertedSearchOp(OperatorDescriptor):
         self.dataset = dataset
         self.index_name = index_name
         self.text = text
+        self._text = None    # compiled closure, set by prepare()
+
+    def prepare(self, config):
+        self._text = compile_expr(self.text)
 
     def run(self, ctx, partition, inputs):
-        text = self.text.evaluate(())
+        text = self._text(())
         storage = ctx.storage_partition(self.dataset, partition)
         before = ctx.node.io_snapshot()
         out = list(storage.search_keyword(self.index_name, text))

@@ -37,9 +37,9 @@ class MetricError(AsterixError):
 class Counter:
     """A monotonically increasing count of events.
 
-    Updates are lock-protected: the parallel job executor bumps metrics
-    from several node-worker threads at once, and ``value += n`` on its
-    own is not atomic in CPython.
+    Updates are lock-protected: concurrent sessions and feed pumps bump
+    metrics from several threads at once, and ``value += n`` on its own
+    is not atomic in CPython.
     """
 
     __slots__ = ("name", "value", "_lock")

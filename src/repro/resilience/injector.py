@@ -13,8 +13,8 @@ at every WAL flush boundary in turn.
 
 Determinism and threads: hit counters are kept **per (site, node)
 stream**.  Every node-scoped site is only ever hit under that node's
-lock (the parallel executor serializes per-node work), so each stream
-sees a reproducible hit sequence no matter how node workers interleave.
+lock (each task holds it while it runs), so each stream sees a
+reproducible hit sequence no matter how concurrent sessions interleave.
 Rules should therefore pin ``node`` when targeting node-scoped sites on
 a multi-node cluster; probability rules draw from a per-stream RNG
 seeded with ``(schedule.seed, site, node)`` via CRC32, never Python's

@@ -17,8 +17,8 @@ pinned at three levels:
   ``sort.key_cache_hits`` counters tick, and the top-k cost model
   charges ``n * ceil(log2 k)`` comparisons.
 
-Executor-level coverage (serial vs parallel) lives in
-``test_executor_equivalence.py``.
+Executor-level coverage (expected rows, repeatable observations) lives
+in ``test_executor.py``.
 """
 
 from functools import cmp_to_key

@@ -15,14 +15,11 @@ Two invariants are pinned here:
   cache's reuse is visible via ``hyracks.batch.key_cache_hits``.
 """
 
-import sys
-import threading
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adm.values import MISSING, ADate, Multiset, hash_value
-from repro.common.config import ClusterConfig, ExecutorConfig, NodeConfig
+from repro.common.config import ClusterConfig, NodeConfig
 from repro.hyracks import (
     ClusterController,
     ColumnRef,
@@ -288,15 +285,14 @@ class TestKeyCache:
         assert len(result.tuples) == 10_000
         assert len(calls) <= 10
 
-    def test_hit_miss_counts_deterministic_under_worker_pool(self, tmp_path):
-        def deltas(mode, run):
+    def test_hit_miss_counts_exact_and_repeatable(self, tmp_path):
+        def deltas(run):
             registry = get_registry()
             hits = registry.counter("hyracks.batch.key_cache_hits")
             misses = registry.counter("hyracks.batch.key_cache_misses")
             h0, m0 = hits.value, misses.value
-            cluster = ClusterController(
-                str(tmp_path / f"{mode}{run}"), _config(
-                    num_nodes=2, executor=ExecutorConfig(mode=mode)))
+            cluster = ClusterController(str(tmp_path / f"run{run}"),
+                                        _config(num_nodes=2))
             try:
                 rows = cluster.run_job(_join_group_job()).tuples
             finally:
@@ -304,58 +300,25 @@ class TestKeyCache:
             assert sorted(rows) == [(g + 0.5, 80) for g in range(1000, 1025)]
             return hits.value - h0, misses.value - m0
 
-        serial = deltas("serial", 0)
+        first = deltas(0)
         # 75 memo entries (join keys 0..49, partial-group keys 1000..1024)
         # plus the 50 partial rows' float keys, computed directly once at
         # routing and once at grouping
-        assert serial[1] == 75 + 2 * 50 and serial[0] > 0
-        assert [deltas("parallel", i) for i in range(5)] == [serial] * 5
-
-    def test_handles_count_exactly_under_thread_stress(self):
-        """Eight threads (more than cores) key the same 500 values through
-        their own handles with a very short switch interval: a lost
-        counter update or a double-counted racing miss breaks the
-        totals."""
-        cache = KeyCache()
-        tuples = [(i % 500, "x") for i in range(2_000)]
-        handles = [cache.handle() for _ in range(8)]
-        start = threading.Barrier(len(handles))
-
-        def work(handle):
-            start.wait(timeout=60)
-            for tup in tuples:
-                handle.key_hash(tup, (0,))
-            handle.key_bytes_many(tuples, (0, 1))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(h,))
-                       for h in handles]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        # 500 one-column keys and 500 two-column keys
-        assert cache.misses == 1_000
-        assert cache.hits == 8 * 2 * 2_000 - 1_000
+        assert first[1] == 75 + 2 * 50 and first[0] > 0
+        assert [deltas(run) for run in range(1, 6)] == [first] * 5
 
 
-def _config(num_nodes=1, executor=None):
+def _config(num_nodes=1):
     return ClusterConfig(
         num_nodes=num_nodes, partitions_per_node=2,
         node=NodeConfig(buffer_cache_pages=64),
-        executor=executor or ExecutorConfig(),
     )
 
 
 def _join_group_job():
     """Join 2,000 tuples to 50 keys, count the matches per partition on
-    an int column no connector has keyed (so several workers memoize
-    the same new key at once), then sum the partial counts grouped on a
+    an int column no connector has keyed (so several partitions' tasks
+    meet the same new key), then sum the partial counts grouped on a
     float column (never memoized)."""
     job = JobSpecification()
     left = job.add_operator(InMemorySourceOp(

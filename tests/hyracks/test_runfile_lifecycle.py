@@ -5,14 +5,14 @@ exactly-full page and the oversized-tuple error), readers delete their
 temp file on exhaustion and refuse iteration after release, the merge
 schedule is pass-structured (``ceil(log_fan_in(runs))`` passes, not the
 old quadratic prepend schedule), and after any spilled job — sort,
-group-by, join, LIMIT early-abandon, serial or parallel, even with
+group-by, join, LIMIT early-abandon, even with
 faults injected mid-spill — zero temp files remain on any node.
 """
 
 import pytest
 
 from repro.adm.serializer import serialize_tuple
-from repro.common.config import ClusterConfig, ExecutorConfig, NodeConfig
+from repro.common.config import ClusterConfig, NodeConfig
 from repro.common.errors import StorageError
 from repro.hyracks import ClusterController, ColumnRef, JobSpecification
 from repro.hyracks.connectors import (
@@ -228,28 +228,18 @@ class TestMergeSchedule:
         assert no_temp_files(cluster)
 
 
-def spill_config(executor=None, injector=None):
+def spill_config():
     return ClusterConfig(
         num_nodes=2, partitions_per_node=2, frame_size=16,
         node=NodeConfig(buffer_cache_pages=128, memory_component_pages=64,
                         sort_memory_frames=2, join_memory_frames=2,
                         group_memory_frames=2),
-        executor=executor or ExecutorConfig(),
     )
 
 
-EXECUTORS = [
-    ExecutorConfig(mode="serial"),
-    ExecutorConfig(mode="parallel"),
-]
-
-
 class TestEndToEndZeroLeaks:
-    @pytest.mark.parametrize("executor", EXECUTORS,
-                             ids=["serial", "parallel"])
-    def test_spilled_sort_leaves_no_temp_files(self, tmp_path, executor):
-        cluster = ClusterController(str(tmp_path / "c"),
-                                    spill_config(executor))
+    def test_spilled_sort_leaves_no_temp_files(self, tmp_path):
+        cluster = ClusterController(str(tmp_path / "c"), spill_config())
         try:
             job = JobSpecification()
             src = job.add_operator(InMemorySourceOp(
@@ -264,11 +254,8 @@ class TestEndToEndZeroLeaks:
         finally:
             cluster.close()
 
-    @pytest.mark.parametrize("executor", EXECUTORS,
-                             ids=["serial", "parallel"])
-    def test_spilled_sort_with_limit(self, tmp_path, executor):
-        cluster = ClusterController(str(tmp_path / "c"),
-                                    spill_config(executor))
+    def test_spilled_sort_with_limit(self, tmp_path):
+        cluster = ClusterController(str(tmp_path / "c"), spill_config())
         try:
             job = JobSpecification()
             src = job.add_operator(InMemorySourceOp(
