@@ -200,6 +200,101 @@ class TestAccessMethodRules:
                              FakeMetadata())
         assert "SecondaryIndexSearch" not in plan_signature(optimized)
 
+    def test_primary_beats_secondary(self):
+        md = FakeMetadata([SecondaryIndexSpec("byA", "btree", ("alias",))])
+        cond = LCall("and", [
+            LCall("eq", [fa(2, "alias"), LConst("bob")]),
+            LCall("eq", [fa(2, "id"), LConst(7)]),
+        ])
+        optimized = optimize(result(Select(cond, inputs=[scan()])), md)
+        assert plan_signature(optimized) == [
+            "DistributeResult", "Select", "PrimaryIndexSearch"]
+        assert optimized.inputs[0].condition == \
+            LCall("eq", [fa(2, "alias"), LConst("bob")])
+
+    def test_incomparable_pk_bounds_fall_back_to_secondary(self):
+        """id = 3 AND id = 'a' is null on every record: no primary range,
+        both pk predicates stay residual, and the B+ tree takes age."""
+        md = FakeMetadata([SecondaryIndexSpec("byAge", "btree", ("age",))])
+        cond = LCall("and", [
+            LCall("eq", [fa(2, "id"), LConst(3)]),
+            LCall("eq", [fa(2, "id"), LConst("a")]),
+            LCall("eq", [fa(2, "age"), LConst(3)]),
+        ])
+        optimized = optimize(result(Select(cond, inputs=[scan()])), md)
+        search = next(op for op in _walk(optimized)
+                      if isinstance(op, SecondaryIndexSearch))
+        assert search.index_name == "byAge"
+        assert search.lo == [LConst(3)] and search.hi == [LConst(3)]
+        assert plan_signature(optimized).count("Select") == 2
+        assert "PrimaryIndexSearch" not in plan_signature(optimized)
+
+    def test_btree_beats_rtree_and_keyword(self):
+        from repro.adm import APoint, ARectangle
+
+        md = FakeMetadata([
+            SecondaryIndexSpec("byLoc", "rtree", ("loc",)),
+            SecondaryIndexSpec("byMsg", "keyword", ("message",)),
+            SecondaryIndexSpec("byA", "btree", ("alias",)),
+        ])
+        window = ARectangle(APoint(0, 0), APoint(10, 10))
+        cond = LCall("and", [
+            LCall("spatial_intersect", [fa(2, "loc"), LConst(window)]),
+            LCall("ftcontains", [fa(2, "message"), LConst("big data")]),
+            LCall("eq", [fa(2, "alias"), LConst("bob")]),
+        ])
+        optimized = optimize(result(Select(cond, inputs=[scan()])), md)
+        search = next(op for op in _walk(optimized)
+                      if isinstance(op, SecondaryIndexSearch))
+        assert (search.index_kind, search.index_name) == ("btree", "byA")
+        assert plan_signature(optimized).count("Select") == 2
+
+    def test_rtree_beats_keyword(self):
+        from repro.adm import APoint, ARectangle
+
+        md = FakeMetadata([
+            SecondaryIndexSpec("byMsg", "keyword", ("message",)),
+            SecondaryIndexSpec("byLoc", "rtree", ("loc",)),
+        ])
+        window = ARectangle(APoint(0, 0), APoint(10, 10))
+        cond = LCall("and", [
+            LCall("ftcontains", [fa(2, "message"), LConst("big data")]),
+            LCall("spatial_intersect", [fa(2, "loc"), LConst(window)]),
+        ])
+        optimized = optimize(result(Select(cond, inputs=[scan()])), md)
+        search = next(op for op in _walk(optimized)
+                      if isinstance(op, SecondaryIndexSearch))
+        assert search.index_name == "byLoc"
+
+    def test_ngram_index_chosen(self):
+        md = FakeMetadata([SecondaryIndexSpec("byName", "ngram",
+                                              ("name",))])
+        cond = LCall("ftcontains", [fa(2, "name"), LConst("asterix")])
+        optimized = optimize(result(Select(cond, inputs=[scan()])), md)
+        search = next(op for op in _walk(optimized)
+                      if isinstance(op, SecondaryIndexSearch))
+        assert (search.index_kind, search.index_name) == ("ngram", "byName")
+        assert search.text == LConst("asterix")
+
+    def test_rtree_keeps_residual_inverted_drops_select(self):
+        from repro.adm import APoint, ARectangle
+
+        window = ARectangle(APoint(0, 0), APoint(10, 10))
+        spatial = LCall("spatial_intersect", [fa(2, "loc"), LConst(window)])
+        md = FakeMetadata([SecondaryIndexSpec("byLoc", "rtree", ("loc",))])
+        optimized = optimize(result(Select(spatial, inputs=[scan()])), md)
+        assert plan_signature(optimized) == [
+            "DistributeResult", "Select", "SecondaryIndexSearch"]
+        assert optimized.inputs[0].condition == spatial
+        assert optimized.inputs[0].inputs[0].window == LConst(window)
+
+        md = FakeMetadata([SecondaryIndexSpec("byMsg", "keyword",
+                                              ("message",))])
+        text = LCall("ftcontains", [fa(2, "message"), LConst("big data")])
+        optimized = optimize(result(Select(text, inputs=[scan()])), md)
+        assert plan_signature(optimized) == [
+            "DistributeResult", "SecondaryIndexSearch"]
+
 
 class TestConstantInlining:
     def test_does_not_inline_into_sort_keys(self):
@@ -328,6 +423,22 @@ class TestCompositeIndexMatching:
         search = next(op for op in _walk(optimized)
                       if isinstance(op, SecondaryIndexSearch))
         assert search.index_name == "byOrgDate"
+
+    @pytest.mark.parametrize("order", [("byAge", "byAlias"),
+                                       ("byAlias", "byAge")])
+    def test_equal_width_indexes_resolve_to_catalog_order(self, order):
+        fields = {"byAge": ("age",), "byAlias": ("alias",)}
+        md = FakeMetadata([SecondaryIndexSpec(name, "btree", fields[name])
+                           for name in order])
+        cond = LCall("and", [
+            LCall("eq", [fa(2, "age"), LConst(30)]),
+            LCall("eq", [fa(2, "alias"), LConst("bob")]),
+        ])
+        optimized = optimize(result(Select(cond, inputs=[scan()])), md)
+        search = next(op for op in _walk(optimized)
+                      if isinstance(op, SecondaryIndexSearch))
+        assert search.index_name == order[0]
+        assert plan_signature(optimized).count("Select") == 1
 
     def test_conflicting_bounds_intersect(self):
         """The fuzzer's find, as a unit test: age >= 27 AND age = 55."""
