@@ -13,6 +13,7 @@ varints so small keys stay small.
 
 from __future__ import annotations
 
+import functools
 import struct
 import uuid as _uuid
 
@@ -260,6 +261,96 @@ def _deserialize_rare(tag: TypeTag, buf: bytes, pos: int):
             obj[key], pos = deserialize_at(buf, pos)
         return obj, pos
     raise StorageError(f"cannot deserialize tag {tag!r}")
+
+
+_u32_at = struct.Struct(">I").unpack_from
+_B_ARRAY = int(TypeTag.ARRAY)
+_B_MULTISET = int(TypeTag.MULTISET)
+_B_BINARY = int(TypeTag.BINARY)
+_B_POLYGON = int(TypeTag.POLYGON)
+_B_INTERVAL = int(TypeTag.INTERVAL)
+# payload byte width of the fixed-size tags, and the number of varints
+# that make up the payload of the varint-encoded ones
+_FIXED_WIDTH = {_B_MISSING: 0, _B_NULL: 0, _B_BOOLEAN: 1, _B_DOUBLE: 8,
+                int(TypeTag.UUID): 16, int(TypeTag.POINT): 16,
+                int(TypeTag.LINE): 32, int(TypeTag.RECTANGLE): 32,
+                int(TypeTag.CIRCLE): 24}
+_VARINTS = {_B_BIGINT: 1, int(TypeTag.DATE): 1, int(TypeTag.TIME): 1,
+            int(TypeTag.DATETIME): 1, int(TypeTag.DURATION): 2}
+
+
+def skip_at(buf: bytes, pos: int) -> int:
+    """The position just past the value starting at ``pos``, found
+    without building the value (no objects, strings or lists)."""
+    b = buf[pos]
+    pos += 1
+    width = _FIXED_WIDTH.get(b)
+    if width is not None:
+        return pos + width
+    varints = _VARINTS.get(b)
+    if varints is None and b == _B_INTERVAL:
+        pos += 1             # the interval's point-type tag
+        varints = 2
+    if varints is not None:
+        for _ in range(varints):
+            while buf[pos] & 0x80:
+                pos += 1
+            pos += 1
+        return pos
+    if b == _B_STRING or b == _B_BINARY:
+        return pos + 4 + _u32_at(buf, pos)[0]
+    if b == _B_OBJECT:
+        (n,) = _u32_at(buf, pos)
+        pos += 4
+        for _ in range(n):
+            pos = skip_at(buf, pos + 4 + _u32_at(buf, pos)[0])
+        return pos
+    if b == _B_ARRAY or b == _B_MULTISET:
+        (n,) = _u32_at(buf, pos)
+        pos += 4
+        for _ in range(n):
+            pos = skip_at(buf, pos)
+        return pos
+    if b == _B_POLYGON:
+        return pos + 4 + 16 * _u32_at(buf, pos)[0]
+    raise StorageError(f"cannot skip tag {_TAG_BY_BYTE.get(b) or TypeTag(b)!r}")
+
+
+@functools.lru_cache(maxsize=256)
+def _encoded(names: frozenset) -> dict:
+    """UTF-8 key bytes -> name, built once per distinct field set."""
+    return {name.encode("utf-8"): name for name in names}
+
+
+def deserialize_fields(buf: bytes, names) -> dict:
+    """Decode only the top-level fields ``names`` of the serialized object
+    in ``buf``: the other values are stepped over with :func:`skip_at`,
+    and the walk stops once every wanted field present has been read.
+    A missing name is absent from the result, as ``field_access`` of it
+    on the full record is MISSING.  A non-object value decodes whole."""
+    if buf[0] != _B_OBJECT:
+        return deserialize(buf)
+    wanted = _encoded(names if isinstance(names, frozenset)
+                      else frozenset(names))
+    obj: dict = {}
+    left = len(wanted)
+    if not left:
+        return obj
+    (n,) = _u32_at(buf, 1)
+    pos = 5
+    for _ in range(n):
+        (klen,) = _u32_at(buf, pos)
+        pos += 4
+        name = wanted.get(buf[pos:pos + klen])
+        pos += klen
+        if name is None:
+            pos = skip_at(buf, pos)
+            continue
+        obj[name], pos = deserialize_at(buf, pos)
+        left -= 1
+        if not left:
+            break
+    return obj
 
 
 def serialize_tuple(values) -> bytes:

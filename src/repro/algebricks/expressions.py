@@ -177,6 +177,27 @@ def free_vars(expr: LExpr) -> set[int]:
     return out
 
 
+def field_reads(expr: LExpr, names: dict, whole: set) -> None:
+    """Sort the uses of the plan variables keyed in ``names`` (var -> set
+    of field names) under ``expr``: ``field_access($$v, 'f')`` adds
+    ``'f'`` to ``names[v]``; any other occurrence of ``$$v`` (returned,
+    passed to a function, accessed by a computed name) adds ``v`` to
+    ``whole``."""
+    if isinstance(expr, LVar):
+        if expr.var in names:
+            whole.add(expr.var)
+        return
+    if (isinstance(expr, LCall) and expr.name == "field_access"
+            and isinstance(expr.args[0], LVar)
+            and expr.args[0].var in names
+            and isinstance(expr.args[1], LConst)
+            and isinstance(expr.args[1].value, str)):
+        names[expr.args[0].var].add(expr.args[1].value)
+        return
+    for child in _children(expr):
+        field_reads(child, names, whole)
+
+
 def rebuild(expr: LExpr, children: list[LExpr]) -> LExpr:
     """Rebuild an expression node with new children (same shape)."""
     if isinstance(expr, LCall):

@@ -198,7 +198,7 @@ class JobGenerator:
         return Stream(op_id, [], 1, SINGLETON)
 
     def _compile_DataSourceScan(self, op) -> Stream:
-        op_id = self._add(DatasetScanOp(op.dataset))
+        op_id = self._add(DatasetScanOp(op.dataset, op.fields))
         return Stream(op_id, op.schema(), self.width,
                       ("hash", tuple(op.pk_vars)),
                       order=[(v, False) for v in op.pk_vars])
@@ -212,7 +212,7 @@ class JobGenerator:
                             [to_runtime(e, {}) for e in es])
         op_id = self._add(PrimaryKeySearchOp(
             op.dataset, lower(op.lo), lower(op.hi),
-            op.lo_inclusive, op.hi_inclusive,
+            op.lo_inclusive, op.hi_inclusive, op.fields,
         ))
         return Stream(op_id, op.schema(), self.width,
                       ("hash", tuple(op.pk_vars)),
@@ -242,7 +242,7 @@ class JobGenerator:
         search_id = self._add(search)
         # the [26] pipeline: PKs -> sorted fetch through the primary index
         lookup = PrimaryLookupOp(op.dataset, len(op.pk_vars),
-                                 sort_keys=True)
+                                 sort_keys=True, fields=op.fields)
         lookup_id = self._add(lookup)
         self._connect(OneToOneConnector(), search_id, lookup_id)
         return Stream(lookup_id, op.schema(), self.width,

@@ -54,21 +54,33 @@ class EmptyTupleSource(LogicalOp):
         return "empty-tuple-source"
 
 
+def _fields_note(fields) -> str:
+    """EXPLAIN's `` fields=[...]`` suffix of a projected read ('' when the
+    record is decoded whole)."""
+    return "" if fields is None else f" fields={sorted(fields)}"
+
+
 @dataclass
 class DataSourceScan(LogicalOp):
-    """Scan of an internal dataset: produces pk vars then the record var."""
+    """Scan of an internal dataset: produces pk vars then the record var.
+
+    ``fields``, on this and the two index searches, is the set of
+    top-level field names the plan reads the record through, filled in
+    by the optimizer's projection pass; None means a full decode."""
 
     dataset: str
     pk_vars: list
     record_var: int
     inputs: list = field(default_factory=list)
+    fields: frozenset | None = None
 
     def schema(self):
         return [*self.pk_vars, self.record_var]
 
     def describe(self):
         return (f"data-scan {self.dataset} -> "
-                f"{['$$%d' % v for v in self.schema()]}")
+                f"{['$$%d' % v for v in self.schema()]}"
+                f"{_fields_note(self.fields)}")
 
 
 @dataclass
@@ -309,13 +321,14 @@ class PrimaryIndexSearch(LogicalOp):
     lo_inclusive: bool = True
     hi_inclusive: bool = True
     inputs: list = field(default_factory=list)
+    fields: frozenset | None = None
 
     def schema(self):
         return [*self.pk_vars, self.record_var]
 
     def describe(self):
         return (f"primary-search {self.dataset} "
-                f"[{self.lo!r} .. {self.hi!r}]")
+                f"[{self.lo!r} .. {self.hi!r}]{_fields_note(self.fields)}")
 
 
 @dataclass
@@ -336,6 +349,7 @@ class SecondaryIndexSearch(LogicalOp):
     window: LExpr | None = None       # rtree
     text: LExpr | None = None         # inverted
     inputs: list = field(default_factory=list)
+    fields: frozenset | None = None
 
     def schema(self):
         return [*self.pk_vars, self.record_var]
@@ -345,7 +359,8 @@ class SecondaryIndexSearch(LogicalOp):
                   if self.index_kind in ("btree", "array")
                   else repr(self.window or self.text))
         return (f"{self.index_kind}-index-search "
-                f"{self.dataset}.{self.index_name} {detail}")
+                f"{self.dataset}.{self.index_name} {detail}"
+                f"{_fields_note(self.fields)}")
 
 
 @dataclass

@@ -28,21 +28,29 @@ from repro.algebricks.expressions import (
     LConst,
     LVar,
     conjuncts,
+    field_reads,
     fold_constants,
     free_vars,
     make_conjunction,
 )
 from repro.algebricks.logical import (
+    Aggregate,
     Assign,
     DataSourceScan,
+    Distinct,
+    DistributeResult,
+    EmptyTupleSource,
+    ExternalScan,
     GroupBy,
     Join,
     Limit,
     LogicalOp,
     Order,
     PrimaryIndexSearch,
+    Project,
     SecondaryIndexSearch,
     Select,
+    UnionAll,
     Unnest,
     walk,
 )
@@ -845,6 +853,65 @@ def rule_reorder_joins(op, ctx):
     return tree, True
 
 
+# --- projection -------------------------------------------------------------------
+
+_READS = (DataSourceScan, PrimaryIndexSearch, SecondaryIndexSearch)
+
+
+def _op_exprs(op: LogicalOp):
+    """The expressions of an operator kind the projection pass knows, or
+    None for any other kind."""
+    if isinstance(op, Assign):
+        return [op.expr]
+    if isinstance(op, (Select, Join)):
+        return [op.condition]
+    if isinstance(op, GroupBy):
+        return [e for _, e in op.keys] + [a.argument for a in op.aggregates]
+    if isinstance(op, Aggregate):
+        return [a.argument for a in op.aggregates]
+    if isinstance(op, Order):
+        return [e for e, _ in op.pairs]
+    if isinstance(op, Unnest):
+        return [op.collection]
+    if isinstance(op, DistributeResult):
+        return [op.expr]
+    if isinstance(op, (*_READS, Limit, EmptyTupleSource, ExternalScan)):
+        return []          # a search's bounds are constants by now
+    return None
+
+
+def annotate_projections(root: LogicalOp) -> None:
+    """Set ``fields`` on every read operator (scan, primary or secondary
+    index search): the constant top-level field names its record
+    variable is read through, so storage builds only those.  The empty
+    set is a record nobody reads (``COUNT(*)``).  Any other use leaves
+    ``fields`` None, a full decode: the bare variable in an expression
+    (returned, compared, given to ``object_*``, accessed by a computed
+    name), in a Project or Distinct, a UnionAll input, a plan that
+    writes (InsertDelete), or an operator kind this pass does not know.
+
+    A plain pass, not a rule: it runs once after every rewrite, so no
+    later rewrite can add a use, and it fires nothing."""
+    reads = [op for op in walk(root) if isinstance(op, _READS)]
+    names: dict = {op.record_var: set() for op in reads}
+    whole: set = set()
+    for op in walk(root):
+        exprs = _op_exprs(op)
+        if isinstance(op, (Project, Distinct)):
+            whole.update(op.vars)
+        elif isinstance(op, UnionAll):
+            for child in op.inputs:
+                whole.update(child.schema())
+        elif exprs is None:              # InsertDelete or unknown kind
+            whole.update(names)
+        else:
+            for expr in exprs:
+                field_reads(expr, names, whole)
+    for op in reads:
+        op.fields = (None if op.record_var in whole
+                     else frozenset(names[op.record_var]))
+
+
 # --- the driver -----------------------------------------------------------------
 
 # Rule *sets*, applied in sequence like real Algebricks: normalization
@@ -975,6 +1042,7 @@ def optimize(root: LogicalOp, metadata: MetadataView, *,
         if not access_changed:
             break
     _maybe_verify(root)
+    annotate_projections(root)
     if enable_cost_based:
         from repro.algebricks.cost import CardinalityEstimator
 

@@ -44,9 +44,15 @@ class _RangeSearchOp(OperatorDescriptor):
 
 class PrimaryKeySearchOp(_RangeSearchOp):
     """Primary-index point/range search: emits (pk..., record) like a
-    scan, but bounded."""
+    scan, but bounded; ``fields`` projects the record as a scan's does."""
 
     name = "primary-search"
+
+    def __init__(self, dataset: str, lo: list | None, hi: list | None,
+                 lo_inclusive: bool = True, hi_inclusive: bool = True,
+                 fields: frozenset | None = None):
+        super().__init__(dataset, lo, hi, lo_inclusive, hi_inclusive)
+        self.fields = fields
 
     def run(self, ctx, partition, inputs):
         storage = ctx.storage_partition(self.dataset, partition)
@@ -55,7 +61,7 @@ class PrimaryKeySearchOp(_RangeSearchOp):
         out = []
         for pk, record in storage.scan(
                 lo, hi, lo_inclusive=self.lo_inclusive,
-                hi_inclusive=self.hi_inclusive):
+                hi_inclusive=self.hi_inclusive, fields=self.fields):
             # the consumed predicate is null on a key that is not
             # type-comparable with its bound; match scan+select semantics
             if lo is not None and not comparable_tuples(pk, lo):
@@ -211,14 +217,16 @@ class PrimaryLookupOp(OperatorDescriptor):
 
     ``sort_keys=True`` applies the [26] optimization (sort references
     before fetching); E1 flips it to quantify the effect the paper
-    describes."""
+    describes.  ``fields`` projects each record as a scan's does."""
 
     name = "primary-lookup"
 
-    def __init__(self, dataset: str, pk_width: int, sort_keys: bool = True):
+    def __init__(self, dataset: str, pk_width: int, sort_keys: bool = True,
+                 fields: frozenset | None = None):
         self.dataset = dataset
         self.pk_width = pk_width
         self.sort_keys = sort_keys
+        self.fields = fields
 
     def run(self, ctx, partition, inputs):
         storage = ctx.storage_partition(self.dataset, partition)
@@ -229,7 +237,7 @@ class PrimaryLookupOp(OperatorDescriptor):
         before = ctx.node.io_snapshot()
         out = []
         for pk in pks:
-            record = storage.get(pk)
+            record = storage.get(pk, fields=self.fields)
             if record is not None:
                 out.append((*pk, record))
         ctx.node.charge_io_delta(ctx, before)

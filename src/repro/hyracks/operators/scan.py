@@ -37,13 +37,16 @@ class DatasetScanOp(OperatorDescriptor):
     """Full scan of a dataset partition: emits (pk fields..., record).
 
     Runs at full width; partition p scans the dataset's storage partition
-    p on whichever node hosts it — the shared-nothing scan of Fig. 1."""
+    p on whichever node hosts it — the shared-nothing scan of Fig. 1.
+    ``fields`` (the plan's projection, None for the whole record) is
+    passed to storage, which builds only those top-level fields."""
 
     num_inputs = 0
     name = "dataset-scan"
 
-    def __init__(self, dataset: str):
+    def __init__(self, dataset: str, fields: frozenset | None = None):
         self.dataset = dataset
+        self.fields = fields
 
     def run(self, ctx, partition, inputs):
         """Incremental scan: a pipelined stage pulls tuples one frame at
@@ -51,7 +54,7 @@ class DatasetScanOp(OperatorDescriptor):
         storage = ctx.storage_partition(self.dataset, partition)
         before = ctx.node.io_snapshot()
         count = 0
-        for pk, record in storage.scan():
+        for pk, record in storage.scan(fields=self.fields):
             count += 1
             yield (*pk, record)
         ctx.node.charge_io_delta(ctx, before)

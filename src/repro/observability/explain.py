@@ -25,6 +25,8 @@ def _value_to_plain(value):
         return value
     if isinstance(value, (list, tuple)):
         return [_value_to_plain(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(value)         # a read's projected field names
     if isinstance(value, dict):
         return {str(k): _value_to_plain(v) for k, v in value.items()}
     return repr(value)           # LExpr / AggCall / adm values

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.adm.comparators import tuple_key
-from repro.adm.serializer import deserialize, serialize
+from repro.adm.serializer import deserialize, deserialize_fields, serialize
 from repro.adm.values import MISSING, APoint, ARectangle
 from repro.common.errors import (
     InvalidArgumentError,
@@ -330,14 +330,29 @@ class PartitionStorage:
 
     # -- reads ------------------------------------------------------------------------
 
-    def get(self, pk: tuple) -> dict | None:
+    def get(self, pk: tuple, *, fields: frozenset | None = None
+            ) -> dict | None:
+        """The record under ``pk`` (None if absent); with ``fields``, only
+        those top-level fields are built (see :meth:`scan`)."""
         raw = self.primary.search(pk)
-        return deserialize(raw) if raw is not None else None
+        if raw is None:
+            return None
+        return deserialize(raw) if fields is None else \
+            deserialize_fields(raw, fields)
 
-    def scan(self, lo=None, hi=None, **kwargs):
-        """Yield (pk, record) over the primary index."""
-        for pk, raw in self.primary.scan(lo, hi, **kwargs):
-            yield pk, deserialize(raw)
+    def scan(self, lo=None, hi=None, *, fields: frozenset | None = None,
+             **kwargs):
+        """Yield (pk, record) over the primary index.  ``fields`` is the
+        set of top-level fields the plan reads the record through (the
+        optimizer's projection pass); the record is built with only
+        those, and None decodes it whole."""
+        items = self.primary.scan(lo, hi, **kwargs)
+        if fields is None:
+            for pk, raw in items:
+                yield pk, deserialize(raw)
+        else:
+            for pk, raw in items:
+                yield pk, deserialize_fields(raw, fields)
 
     def fetch_many(self, pks, *, sort: bool = True):
         """Resolve primary keys to records.

@@ -56,6 +56,19 @@ class TestPrimary:
         assert part.get((1,))["alias"] == "user1"
         assert part.get((2,)) is None
 
+    def test_scan_and_get_build_only_the_named_fields(self, part):
+        for i in range(6):
+            part.insert(user(i, loc=(i, i) if i % 2 else None))
+        full = dict(part.scan())
+        wanted = frozenset({"alias", "senderLocation", "nope"})
+        assert dict(part.scan(fields=wanted)) == {
+            pk: {k: r[k] for k in wanted if k in r}
+            for pk, r in full.items()}
+        assert dict(part.scan((2,), (3,), fields=frozenset())) == {
+            (2,): {}, (3,): {}}
+        assert part.get((3,), fields=frozenset({"id"})) == {"id": 3}
+        assert part.get((9,), fields=frozenset({"id"})) is None
+
     def test_insert_duplicate(self, part):
         part.insert(user(1))
         with pytest.raises(DuplicateKeyError):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from repro.adm import APoint, ARectangle
 from repro.common.errors import DuplicateKeyError
 from repro.storage import BufferCache
+from repro.storage.lsm.component import ANTIMATTER, encode_matter
+from repro.storage.lsm.lsm_btree import _merge_newest_wins
 from repro.storage.lsm import (
     ConstantMergePolicy,
     LSMBTree,
@@ -389,3 +391,33 @@ def test_lsm_matches_dict_model(tmp_path_factory, ops):
         assert lsm.search((k,)) == model.get(k)
     assert_dropped(lsm, fm, root)
     fm.close()
+
+
+# --- the newest-wins merge ------------------------------------------------------
+
+def _source(entries: dict) -> list:
+    """One component's sorted (key, raw) entries; None is antimatter."""
+    return [((k,), ANTIMATTER if v is None else encode_matter(v))
+            for k, v in sorted(entries.items())]
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 30),
+                                st.none() | st.binary(max_size=4),
+                                max_size=12), max_size=4),
+       st.booleans())
+@settings(max_examples=300)
+def test_merge_newest_wins_matches_a_dict_oracle(sources, keep_antimatter):
+    """Over empty, single and several newest-first sources (the
+    single-source fast path and the heap merge), the output is what a
+    dict built oldest to newest says."""
+    latest: dict = {}
+    for entries in reversed(sources):          # oldest first
+        latest.update(entries)
+    expected = [((k,), v) for k, v in sorted(latest.items())
+                if keep_antimatter or v is not None]
+    if keep_antimatter:
+        expected = [(key, ANTIMATTER if v is None else encode_matter(v))
+                    for key, v in expected]
+    merged = _merge_newest_wins([iter(_source(s)) for s in sources],
+                                keep_antimatter=keep_antimatter)
+    assert list(merged) == expected
