@@ -439,9 +439,14 @@ def _spatial(selects, env, scan, specs) -> tuple | None:
 
 
 def _text(selects, env, scan, specs) -> tuple | None:
-    """(keyword/ngram spec, search arguments, [the select]) for the first
-    ``ftcontains(path, const text)`` an inverted index covers; the index
-    answers the predicate, so its select is consumed."""
+    """(keyword/ngram spec, search arguments, selects consumed) for the
+    first ``ftcontains(path, const text)`` an inverted index covers.  A
+    keyword index answers the predicate, so its select is consumed.  An
+    n-gram index returns a superset (records holding every n-gram of each
+    query word), so the select stays as a residual; a query with no
+    n-gram (every word shorter than n) leaves the scan."""
+    from repro.storage.lsm import ngram_query_tokens
+
     for sel in selects:
         cond = _resolve(sel.condition, env)
         if not (isinstance(cond, LCall) and cond.name == "ftcontains"):
@@ -451,11 +456,15 @@ def _text(selects, env, scan, specs) -> tuple | None:
         if path is None or not isinstance(text, LConst):
             continue
         for spec in specs:
-            # n-gram search is not ftcontains' word match (ROADMAP 7):
-            # top-level fields keep their plans; nested paths stay scans
-            if spec.fields == (path,) and (spec.kind == "keyword" or (
-                    spec.kind == "ngram" and "." not in path)):
+            if spec.fields != (path,):
+                continue
+            if spec.kind == "keyword":
                 return spec, {"text": text}, [sel]
+            # nested n-gram paths stay scans (ROADMAP 7)
+            if (spec.kind == "ngram" and "." not in path
+                    and isinstance(text.value, str)
+                    and ngram_query_tokens(text.value, spec.gram_length)):
+                return spec, {"text": text}, []
     return None
 
 

@@ -5,6 +5,7 @@ and the index kinds that ride it (component encodings live in
 from repro.storage.lsm.lsm_btree import LSMBTree
 from repro.storage.lsm.lsm_inverted import (
     LSMInvertedIndex,
+    ngram_query_tokens,
     ngram_tokens,
     word_tokens,
 )
@@ -24,6 +25,7 @@ __all__ = [
     "MergePolicy",
     "NoMergePolicy",
     "PrefixMergePolicy",
+    "ngram_query_tokens",
     "ngram_tokens",
     "word_tokens",
 ]

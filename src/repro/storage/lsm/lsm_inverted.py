@@ -36,6 +36,16 @@ def ngram_tokens(text: str, n: int = 3) -> set[str]:
     return {padded[i:i + n] for i in range(len(padded) - n + 1)}
 
 
+def ngram_query_tokens(text: str, n: int = 3) -> set[str]:
+    """The n-grams an n-gram index looks up for ``ftcontains(field,
+    text)``: the un-padded n-grams of each word token of ``text``.  A
+    field holding the word as a token holds all of them, so the search
+    returns a superset of the matches (empty when every word is shorter
+    than ``n``: then the index cannot narrow the search)."""
+    return {word[i:i + n] for word in word_tokens(text)
+            for i in range(len(word) - n + 1)}
+
+
 class LSMInvertedIndex(LSMBTree):
     """Token -> primary-key postings: an LSM B+ tree of (token, pk...)."""
 
@@ -72,9 +82,12 @@ class LSMInvertedIndex(LSMBTree):
             yield key[1:]
 
     def search_conjunctive(self, text: str) -> list[tuple]:
-        """PKs of documents containing *all* tokens of ``text`` (the
-        semantics of SQL++'s ftcontains / keyword-index search)."""
-        tokens = sorted(self.tokens_of(text))
+        """PKs of documents containing *all* query tokens of ``text``: for
+        a keyword index its word tokens (exactly SQL++'s ftcontains), for
+        an n-gram index :func:`ngram_query_tokens` (a superset of it,
+        which the plan re-checks with ``ftcontains``)."""
+        tokens = sorted(word_tokens(text) if self.tokenizer == "keyword"
+                        else ngram_query_tokens(text, self.gram_length))
         if not tokens:
             return []
         result = set(self.search_token(tokens[0]))

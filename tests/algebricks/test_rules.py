@@ -276,6 +276,23 @@ class TestAccessMethodRules:
         assert (search.index_kind, search.index_name) == ("ngram", "byName")
         assert search.text == LConst("asterix")
 
+    def test_ngram_keeps_the_select_as_residual(self):
+        md = FakeMetadata([SecondaryIndexSpec("byName", "ngram",
+                                              ("name",))])
+        text = LCall("ftcontains", [fa(2, "name"), LConst("asterix db")])
+        optimized = optimize(result(Select(text, inputs=[scan()])), md)
+        assert plan_signature(optimized) == [
+            "DistributeResult", "Select", "SecondaryIndexSearch"]
+        assert optimized.inputs[0].condition == text
+
+    @pytest.mark.parametrize("query", ["db", "a b", "", 42])
+    def test_ngram_without_a_query_gram_stays_a_scan(self, query):
+        md = FakeMetadata([SecondaryIndexSpec("byName", "ngram",
+                                              ("name",))])
+        text = LCall("ftcontains", [fa(2, "name"), LConst(query)])
+        optimized = optimize(result(Select(text, inputs=[scan()])), md)
+        assert "SecondaryIndexSearch" not in plan_signature(optimized)
+
     def test_rtree_keeps_residual_inverted_drops_select(self):
         from repro.adm import APoint, ARectangle
 

@@ -400,6 +400,40 @@ class TestIndexUsage:
                                               db.metadata))
 
 
+    @pytest.mark.parametrize("words", [
+        "harbor", "side", "harborside", "Harborside 4", "the harbor"])
+    def test_ngram_index_answers_ftcontains_on_partial_words(self, db,
+                                                             words):
+        """An n-gram index searches the un-padded grams of each query word
+        and keeps ``ftcontains`` as a residual, so a word that is only
+        part of the field text is found, and a match of the grams that is
+        not a word match is filtered out."""
+        from tests.reference import assert_same_rows, reference_rows
+
+        db.execute("""
+            CREATE TYPE T AS { id: int };
+            CREATE DATASET P(T) PRIMARY KEY id;
+            CREATE INDEX byName ON P(name) TYPE NGRAM(3);
+        """)
+        names = ["harborside 4", "Harborside", "harbor side", "the harbor",
+                 "sideharbor", "harborsides", "inside 4"]
+        records = [{"id": i, "name": name} for i, name in enumerate(names)]
+        records.append({"id": 99, "other": 1})
+        for record in records:
+            db.cluster.insert_record("Default.P", dict(record))
+        db.flush_dataset("P")
+        query = ("SELECT VALUE p.id FROM P p "
+                 f"WHERE ftcontains(p.name, '{words}');")
+        assert db.explain(query).access_methods == [
+            {"dataset": "Default.P", "method": "ngram-index",
+             "index": "byName"}]
+        rows = db.query(query)
+        assert rows
+        assert_same_rows(rows, db.query(query, enable_index_access=False))
+        assert_same_rows(rows, reference_rows(query, {"P": records},
+                                              db.metadata))
+
+
 class TestMetadataQueries:
     def test_catalog_is_queryable(self, social):
         rows = social.query("""
