@@ -50,6 +50,72 @@ class TestCompare:
         assert [r[-1] for r in rows] == ["ok", "WORSE"] and not ok
 
 
+class TestUnresolved:
+    metric = {"name": "m", "better": "higher", "bound": 0.25}
+    spread = [8.0, 10.0, 12.0, 14.0]      # IQR 5.0 > 0.25 x median 11.0
+
+    @pytest.mark.parametrize("change, verdict", [
+        ([7.0, 9.0, 7.0, 15.0], "unresolved"),    # 0.73, but noise-wide
+        ([11.0, 13.0, 9.0, 15.0], "unresolved"),
+        ([15.0, 16.0, 17.0, 18.0], "ok"),        # every run beats every
+    ])
+    def test_wide_parent_spread(self, change, verdict):
+        rows, ok = ab.compare([self.metric], _runs(self.spread),
+                              _runs(change))
+        assert rows[0][-1] == verdict and ok
+        assert rows[0][-2] == pytest.approx(5.0)
+
+    def test_every_change_run_losing_to_every_parent_run_is_resolved(self):
+        metric = {"name": "m", "better": "lower", "bound": 0.25}
+        rows, ok = ab.compare([metric], _runs(self.spread),
+                              _runs([20.0, 21.0, 22.0, 23.0]))
+        assert rows[0][-1] == "WORSE" and not ok
+
+    def test_narrow_parent_spread_keeps_the_bound_verdict(self):
+        parent = [10.0, 10.0, 10.5, 10.5]        # IQR 0.5 < 2.56
+        rows, ok = ab.compare([self.metric], _runs(parent),
+                              _runs([7.0, 7.0, 7.0, 7.0]))
+        assert rows[0][-1] == "WORSE" and not ok
+
+
+class TestClaim:
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+
+    @pytest.mark.parametrize("better, change, met", [
+        ("higher", [12.0] * 9 + [9.0], True),       # 9/10, gap 2.0
+        ("higher", [12.0] * 8 + [9.0] * 2, False),  # 8/10
+        ("lower", [8.0] * 10, True),
+        ("lower", [12.0] * 10, False),               # better is lower
+    ])
+    def test_claim(self, better, change, met):
+        metric = {"name": "m", "better": better, "bound": 0.25}
+        got, detail = ab.check_claim(metric, _runs(self.parent),
+                                     _runs(change))
+        assert got == met, detail
+
+    def test_gap_within_parent_iqr_is_not_met(self):
+        metric = {"name": "m", "better": "higher", "bound": 0.25}
+        parent = [9.0, 11.0] * 5                     # IQR 2.0
+        got, detail = ab.check_claim(metric, _runs(parent),
+                                     _runs([11.5] * 10))
+        assert not got and "parent IQR 2" in detail
+
+    @pytest.mark.parametrize("claim", ["nope:ops_per_s", "tpcch_mix:nope",
+                                       "tpcch_mix"])
+    def test_bad_claim_refused_before_any_work(self, claim, monkeypatch,
+                                               capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before refusing --claim")
+
+        monkeypatch.setattr(ab, "git", forbidden)
+        monkeypatch.setattr(ab, "export", forbidden)
+        monkeypatch.setattr(sys, "argv", ["ab.py", "HEAD", "--claim", claim])
+        with pytest.raises(SystemExit) as exc:
+            ab.main()
+        assert exc.value.code == 2
+        assert "--claim" in capsys.readouterr().err
+
+
 class TestPairs:
     @pytest.mark.parametrize("pairs", ["3", "1", "0"])
     def test_odd_or_empty_pairs_refused_before_any_work(

@@ -2,7 +2,7 @@
 """Paired A/B benchmark of the working tree against a git revision.
 
     python3 tools/ab.py <rev> [--workload W ...] [--pairs N] [--seed S]
-                        [--seconds T]
+                        [--seconds T] [--claim WORKLOAD:METRIC ...]
 
 ``<rev>`` (the parent) and the working tree (the change: tracked files
 via ``git stash create``, which moves no ref, plus every untracked file
@@ -15,8 +15,15 @@ S+N-1, alternating which side runs first (N must be even, so each order
 runs equally often), and prints for each end-to-end metric both medians,
 change / parent, the pairs the change won, the parent's interquartile
 range and a verdict against the metric's bound, then the ``ops_per_s``
-ratio within each order, so an order effect shows.
-Exit status 1: a median worse than its bound, or a failed operation.
+ratio within each order, so an order effect shows.  The verdict is
+``unresolved`` when the parent's runs spread wider than the bound (IQR
+above bound x parent median), unless every change run beats every parent
+run or loses to every one: such a median says nothing either way.
+``--claim W:M`` checks a claimed gain on metric M of workload W: ``claim
+met`` needs the change to win at least 9 of every 10 pairs and the
+medians to differ, in the better direction, by more than the parent IQR.
+Exit status 1: a median worse than its bound, a failed operation, or a
+claim not met.
 Only subprocesses; nothing is imported from ``src/`` or ``bench/``.
 """
 
@@ -68,23 +75,58 @@ def bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
+def _values(runs: list, name: str) -> list:
+    return [r["metrics"][name]["value"] for r in runs]
+
+
+def _iqr(values: list) -> float:
+    if len(values) < 2:
+        return 0.0
+    q = statistics.quantiles(values, n=4)
+    return q[2] - q[0]
+
+
+def _beats(metric: dict, a: float, b: float) -> bool:
+    return a > b if metric["better"] == "higher" else a < b
+
+
 def compare(metrics: list, parent: list, change: list) -> tuple[list, bool]:
-    """Rows of the report for one workload, and whether all are in bound."""
+    """Rows of the report for one workload, and whether none is worse
+    than its bound (an unresolved metric is not counted either way)."""
     rows, ok = [], True
     for m in metrics:
-        p = [r["metrics"][m["name"]]["value"] for r in parent]
-        c = [r["metrics"][m["name"]]["value"] for r in change]
+        p, c = _values(parent, m["name"]), _values(change, m["name"])
         pm, cm = statistics.median(p), statistics.median(c)
         ratio = cm / pm if pm else (1.0 if cm == pm else float("inf"))
         higher = m["better"] == "higher"
         worse = ratio < 1 - m["bound"] if higher else ratio > 1 + m["bound"]
-        wins = sum(ci > pi if higher else ci < pi for pi, ci in zip(p, c))
-        q = statistics.quantiles(p, n=4) if len(p) > 1 else [pm, pm, pm]
+        wins = sum(_beats(m, ci, pi) for pi, ci in zip(p, c))
+        iqr = _iqr(p)
+        if iqr > m["bound"] * abs(pm) and not (
+                all(_beats(m, ci, pi) for ci in c for pi in p)
+                or all(_beats(m, pi, ci) for ci in c for pi in p)):
+            verdict = "unresolved"
+        else:
+            verdict = "WORSE" if worse else "ok"
         rows.append((m["name"], m["bound"], pm, cm, ratio,
-                     f"{wins}/{len(p)}", q[2] - q[0],
-                     "WORSE" if worse else "ok"))
-        ok = ok and not worse
+                     f"{wins}/{len(p)}", iqr, verdict))
+        ok = ok and verdict != "WORSE"
     return rows, ok
+
+
+def check_claim(metric: dict, parent: list, change: list) -> tuple[bool, str]:
+    """Whether a claimed gain on ``metric`` holds: the change wins at
+    least 9 of every 10 pairs and the medians differ, in the better
+    direction, by more than the parent IQR; and the numbers behind it."""
+    p, c = _values(parent, metric["name"]), _values(change, metric["name"])
+    wins = sum(_beats(metric, ci, pi) for pi, ci in zip(p, c))
+    gap = statistics.median(c) - statistics.median(p)
+    if metric["better"] != "higher":
+        gap = -gap
+    iqr = _iqr(p)
+    met = wins * 10 >= 9 * len(p) and gap > iqr
+    return met, (f"{wins}/{len(p)} wins, median gap {gap:.4g},"
+                 f" parent IQR {iqr:.4g}")
 
 
 def order_ratios(parent: list, change: list) -> tuple[float, float]:
@@ -105,6 +147,8 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--seconds", type=float)
+    parser.add_argument("--claim", action="append", default=[],
+                        metavar="WORKLOAD:METRIC")
     args = parser.parse_args()
     if args.pairs < 2 or args.pairs % 2:
         parser.error("--pairs must be even, so each side runs first equally"
@@ -112,6 +156,12 @@ def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    metrics = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
+    claims = [claim.partition(":")[::2] for claim in args.claim]
+    for w, m in claims:
+        if w not in workloads or m not in metrics:
+            parser.error(f"--claim {w}:{m}: not a run workload and a"
+                         " BENCHMARK.json metric")
     seconds = args.seconds or spec["run_seconds"]
     sha = git("rev-parse", "--short", args.rev)
     tmp = tempfile.mkdtemp(prefix="ab-")
@@ -145,6 +195,12 @@ def main() -> int:
             first_p, first_c = order_ratios(runs[parent], runs[change])
             print(f"ops_per_s ratio by order: parent first {first_p:.3f},"
                   f" change first {first_c:.3f}")
+            for m in (m for cw, m in claims if cw == w):
+                met, detail = check_claim(metrics[m], runs[parent],
+                                          runs[change])
+                print(f"claim {w}:{m}: claim {'met' if met else 'not met'}"
+                      f" ({detail})")
+                ok = ok and met
         print("\nverdict:", "pass" if ok else "FAIL")
         return 0 if ok else 1
     finally:
