@@ -905,13 +905,12 @@ def annotate_projections(root: LogicalOp) -> None:
     names: dict = {op.record_var: set() for op in reads}
     whole: set = set()
     for op in walk(root):
-        exprs = _op_exprs(op)
         if isinstance(op, (Project, Distinct)):
             whole.update(op.vars)
         elif isinstance(op, UnionAll):
             for child in op.inputs:
                 whole.update(child.schema())
-        elif exprs is None:              # InsertDelete or unknown kind
+        elif (exprs := _op_exprs(op)) is None:   # InsertDelete, unknown
             whole.update(names)
         else:
             for expr in exprs:
