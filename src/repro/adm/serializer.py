@@ -313,7 +313,9 @@ def skip_at(buf: bytes, pos: int) -> int:
         return pos
     if b == _B_POLYGON:
         return pos + 4 + 16 * _u32_at(buf, pos)[0]
-    raise StorageError(f"cannot skip tag {_TAG_BY_BYTE.get(b) or TypeTag(b)!r}")
+    # TypeTag(b) raises ValueError for a byte that is no tag at all, as in
+    # deserialize_at; the tags left are never serialized
+    raise StorageError(f"cannot skip tag {TypeTag(b)!r}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -322,7 +324,7 @@ def _encoded(names: frozenset) -> dict:
     return {name.encode("utf-8"): name for name in names}
 
 
-def deserialize_fields(buf: bytes, names) -> dict:
+def deserialize_fields(buf: bytes, names: frozenset) -> dict:
     """Decode only the top-level fields ``names`` of the serialized object
     in ``buf``: the other values are stepped over with :func:`skip_at`,
     and the walk stops once every wanted field present has been read.
@@ -330,8 +332,7 @@ def deserialize_fields(buf: bytes, names) -> dict:
     on the full record is MISSING.  A non-object value decodes whole."""
     if buf[0] != _B_OBJECT:
         return deserialize(buf)
-    wanted = _encoded(names if isinstance(names, frozenset)
-                      else frozenset(names))
+    wanted = _encoded(names)
     obj: dict = {}
     left = len(wanted)
     if not left:
