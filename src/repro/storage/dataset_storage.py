@@ -337,8 +337,8 @@ class PartitionStorage:
         raw = self.primary.search(pk)
         if raw is None:
             return None
-        return deserialize(raw) if fields is None else \
-            deserialize_fields(raw, fields)
+        return (deserialize(raw) if fields is None
+                else deserialize_fields(raw, fields))
 
     def scan(self, lo=None, hi=None, *, fields: frozenset | None = None,
              **kwargs):
@@ -346,13 +346,9 @@ class PartitionStorage:
         set of top-level fields the plan reads the record through (the
         optimizer's projection pass); the record is built with only
         those, and None decodes it whole."""
-        items = self.primary.scan(lo, hi, **kwargs)
-        if fields is None:
-            for pk, raw in items:
-                yield pk, deserialize(raw)
-        else:
-            for pk, raw in items:
-                yield pk, deserialize_fields(raw, fields)
+        for pk, raw in self.primary.scan(lo, hi, **kwargs):
+            yield pk, (deserialize(raw) if fields is None
+                       else deserialize_fields(raw, fields))
 
     def fetch_many(self, pks, *, sort: bool = True):
         """Resolve primary keys to records.
