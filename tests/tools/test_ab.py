@@ -100,8 +100,10 @@ class TestClaim:
                                      _runs([11.5] * 10))
         assert not got and "parent IQR 2" in detail
 
+    # a per-layer metric is refused too: untraced runs do not report it
     @pytest.mark.parametrize("claim", ["nope:ops_per_s", "tpcch_mix:nope",
-                                       "tpcch_mix"])
+                                       "tpcch_mix",
+                                       "tpcch_mix:api.read_p50_us"])
     def test_bad_claim_refused_before_any_work(self, claim, monkeypatch,
                                                capsys):
         def forbidden(*args, **kwargs):

@@ -19,7 +19,8 @@ ratio within each order, so an order effect shows.  The verdict is
 ``unresolved`` when the parent's runs spread wider than the bound (IQR
 above bound x parent median), unless every change run beats every parent
 run or loses to every one: such a median says nothing either way.
-``--claim W:M`` checks a claimed gain on metric M of workload W: ``claim
+``--claim W:M`` checks a claimed gain on end-to-end metric M of workload
+W (the runs are untraced, so they report no per-layer metric): ``claim
 met`` needs the change to win at least 9 of every 10 pairs and the
 medians to differ, in the better direction, by more than the parent IQR.
 Exit status 1: a median worse than its bound, a failed operation, or a
@@ -156,12 +157,13 @@ def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    metrics = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
+    # runs are untraced, so they report the end-to-end metrics only
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     claims = [claim.partition(":")[::2] for claim in args.claim]
     for w, m in claims:
         if w not in workloads or m not in metrics:
-            parser.error(f"--claim {w}:{m}: not a run workload and a"
-                         " BENCHMARK.json metric")
+            parser.error(f"--claim {w}:{m}: not a run workload and an"
+                         " end-to-end metric of BENCHMARK.json")
     seconds = args.seconds or spec["run_seconds"]
     sha = git("rev-parse", "--short", args.rev)
     tmp = tempfile.mkdtemp(prefix="ab-")
