@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import struct
 from contextlib import suppress
-from itertools import chain
 
 from repro.adm.comparators import order_part
 from repro.common.errors import DuplicateKeyError
@@ -209,18 +208,6 @@ def _merge_newest_wins(iterators, *, keep_antimatter: bool = False):
             heapq.heappush(
                 heap, (tuple(map(order_part, key)), rank, key, raw, it))
             break
-    if len(heap) == 1:
-        # one non-empty source (a lone component, the common case for a
-        # cache-resident dataset): its keys are unique, so stream it
-        _, _, key, raw, it = heap[0]
-        for key, raw in chain(((key, raw),), it):
-            if keep_antimatter:
-                yield key, raw
-                continue
-            anti, payload = decode(raw)
-            if not anti:
-                yield key, payload
-        return
     current_key_wrapped = None
     while heap:
         wrapped, rank, key, raw, it = heapq.heappop(heap)

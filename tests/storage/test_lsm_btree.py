@@ -407,9 +407,8 @@ def _source(entries: dict) -> list:
        st.booleans())
 @settings(max_examples=300)
 def test_merge_newest_wins_matches_a_dict_oracle(sources, keep_antimatter):
-    """Over empty, single and several newest-first sources (the
-    single-source fast path and the heap merge), the output is what a
-    dict built oldest to newest says."""
+    """Over empty, single and several newest-first sources, the output
+    is what a dict built oldest to newest says."""
     latest: dict = {}
     for entries in reversed(sources):          # oldest first
         latest.update(entries)
