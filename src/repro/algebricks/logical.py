@@ -23,9 +23,16 @@ class LogicalOp:
         """Ordered live variables this operator produces."""
         raise NotImplementedError
 
+    def exprs(self) -> list[LExpr]:
+        """The expressions this operator evaluates."""
+        return []
+
     def used_vars(self) -> set[int]:
         """Variables this operator's expressions reference."""
-        return set()
+        out: set[int] = set()
+        for expr in self.exprs():
+            out |= free_vars(expr)
+        return out
 
     def child_schema(self, i: int = 0) -> list[int]:
         return self.inputs[i].schema()
@@ -108,8 +115,8 @@ class Assign(LogicalOp):
     def schema(self):
         return [*self.child_schema(), self.var]
 
-    def used_vars(self):
-        return free_vars(self.expr)
+    def exprs(self):
+        return [self.expr]
 
     def describe(self):
         return f"assign $${self.var} := {self.expr!r}"
@@ -123,8 +130,8 @@ class Select(LogicalOp):
     def schema(self):
         return self.child_schema()
 
-    def used_vars(self):
-        return free_vars(self.condition)
+    def exprs(self):
+        return [self.condition]
 
     def describe(self):
         return f"select {self.condition!r}"
@@ -159,8 +166,8 @@ class Join(LogicalOp):
             return self.child_schema(0)
         return [*self.child_schema(0), *self.child_schema(1)]
 
-    def used_vars(self):
-        return free_vars(self.condition)
+    def exprs(self):
+        return [self.condition]
 
     def describe(self):
         return f"join[{self.kind}] {self.condition!r}"
@@ -189,13 +196,9 @@ class GroupBy(LogicalOp):
     def schema(self):
         return [v for v, _ in self.keys] + [a.var for a in self.aggregates]
 
-    def used_vars(self):
-        out: set[int] = set()
-        for _, expr in self.keys:
-            out |= free_vars(expr)
-        for agg in self.aggregates:
-            out |= free_vars(agg.argument)
-        return out
+    def exprs(self):
+        return ([e for _, e in self.keys]
+                + [agg.argument for agg in self.aggregates])
 
     def describe(self):
         keys = ", ".join(f"$${v}:={e!r}" for v, e in self.keys)
@@ -212,11 +215,8 @@ class Aggregate(LogicalOp):
     def schema(self):
         return [a.var for a in self.aggregates]
 
-    def used_vars(self):
-        out: set[int] = set()
-        for agg in self.aggregates:
-            out |= free_vars(agg.argument)
-        return out
+    def exprs(self):
+        return [agg.argument for agg in self.aggregates]
 
     def describe(self):
         return f"aggregate {self.aggregates!r}"
@@ -233,11 +233,8 @@ class Order(LogicalOp):
     def schema(self):
         return self.child_schema()
 
-    def used_vars(self):
-        out: set[int] = set()
-        for expr, _ in self.pairs:
-            out |= free_vars(expr)
-        return out
+    def exprs(self):
+        return [e for e, _ in self.pairs]
 
     def describe(self):
         parts = [f"{e!r}{' desc' if d else ''}" for e, d in self.pairs]
@@ -287,8 +284,8 @@ class Unnest(LogicalOp):
             extra.append(self.positional_var)
         return [*self.child_schema(), *extra]
 
-    def used_vars(self):
-        return free_vars(self.collection)
+    def exprs(self):
+        return [self.collection]
 
     def describe(self):
         return f"unnest $${self.var} <- {self.collection!r}"
@@ -376,13 +373,9 @@ class InsertDelete(LogicalOp):
     def schema(self):
         return []
 
-    def used_vars(self):
-        out: set[int] = set()
-        if self.record_expr is not None:
-            out |= free_vars(self.record_expr)
-        for e in self.pk_exprs or ():
-            out |= free_vars(e)
-        return out
+    def exprs(self):
+        return ([] if self.record_expr is None else [self.record_expr]) + [
+            *(self.pk_exprs or ())]
 
     def describe(self):
         return f"{self.op} into {self.dataset}"
@@ -398,8 +391,8 @@ class DistributeResult(LogicalOp):
     def schema(self):
         return []
 
-    def used_vars(self):
-        return free_vars(self.expr) if self.expr is not None else set()
+    def exprs(self):
+        return [] if self.expr is None else [self.expr]
 
     def describe(self):
         return f"distribute-result {self.expr!r}"

@@ -867,26 +867,10 @@ def rule_reorder_joins(op, ctx):
 _READS = (DataSourceScan, PrimaryIndexSearch, SecondaryIndexSearch)
 
 
-def _op_exprs(op: LogicalOp):
-    """The expressions of an operator kind the projection pass knows, or
-    None for any other kind."""
-    if isinstance(op, Assign):
-        return [op.expr]
-    if isinstance(op, (Select, Join)):
-        return [op.condition]
-    if isinstance(op, GroupBy):
-        return [e for _, e in op.keys] + [a.argument for a in op.aggregates]
-    if isinstance(op, Aggregate):
-        return [a.argument for a in op.aggregates]
-    if isinstance(op, Order):
-        return [e for e, _ in op.pairs]
-    if isinstance(op, Unnest):
-        return [op.collection]
-    if isinstance(op, DistributeResult):
-        return [op.expr]
-    if isinstance(op, (*_READS, Limit, EmptyTupleSource, ExternalScan)):
-        return []          # a search's bounds are constants by now
-    return None
+# the operator kinds whose every use of a variable is in ``exprs()`` (a
+# search's bounds are constants by now, so a read has none)
+_EXPR_OPS = (*_READS, Assign, Select, Join, GroupBy, Aggregate, Order,
+             Unnest, DistributeResult, Limit, EmptyTupleSource, ExternalScan)
 
 
 def annotate_projections(root: LogicalOp) -> None:
@@ -910,11 +894,11 @@ def annotate_projections(root: LogicalOp) -> None:
         elif isinstance(op, UnionAll):
             for child in op.inputs:
                 whole.update(child.schema())
-        elif (exprs := _op_exprs(op)) is None:   # InsertDelete, unknown
-            whole.update(names)
-        else:
-            for expr in exprs:
+        elif isinstance(op, _EXPR_OPS):
+            for expr in op.exprs():
                 field_reads(expr, names, whole)
+        else:                                    # InsertDelete, unknown
+            whole.update(names)
     for op in reads:
         op.fields = (None if op.record_var in whole
                      else frozenset(names[op.record_var]))
