@@ -324,13 +324,14 @@ def _encoded(names: frozenset) -> dict:
     return {name.encode("utf-8"): name for name in names}
 
 
-def deserialize_fields(buf: bytes, names: frozenset) -> dict:
+def deserialize_fields(buf: bytes, names: frozenset | None):
     """Decode only the top-level fields ``names`` of the serialized object
     in ``buf``: the other values are stepped over with :func:`skip_at`,
     and the walk stops once every wanted field present has been read.
     A missing name is absent from the result, as ``field_access`` of it
-    on the full record is MISSING.  A non-object value decodes whole."""
-    if buf[0] != _B_OBJECT:
+    on the full record is MISSING.  ``names`` None, or a non-object
+    value, decodes whole."""
+    if names is None or buf[0] != _B_OBJECT:
         return deserialize(buf)
     wanted = _encoded(names)
     obj: dict = {}

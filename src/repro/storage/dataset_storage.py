@@ -335,10 +335,7 @@ class PartitionStorage:
         """The record under ``pk`` (None if absent); with ``fields``, only
         those top-level fields are built (see :meth:`scan`)."""
         raw = self.primary.search(pk)
-        if raw is None:
-            return None
-        return (deserialize(raw) if fields is None
-                else deserialize_fields(raw, fields))
+        return None if raw is None else deserialize_fields(raw, fields)
 
     def scan(self, lo=None, hi=None, *, fields: frozenset | None = None,
              **kwargs):
@@ -347,8 +344,7 @@ class PartitionStorage:
         optimizer's projection pass); the record is built with only
         those, and None decodes it whole."""
         for pk, raw in self.primary.scan(lo, hi, **kwargs):
-            yield pk, (deserialize(raw) if fields is None
-                       else deserialize_fields(raw, fields))
+            yield pk, deserialize_fields(raw, fields)
 
     def fetch_many(self, pks, *, sort: bool = True):
         """Resolve primary keys to records.

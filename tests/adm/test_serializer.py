@@ -203,6 +203,11 @@ def test_deserialize_fields_non_object_decodes_whole():
     assert deserialize_fields(serialize([1, 2]), frozenset({"a"})) == [1, 2]
 
 
+def test_deserialize_fields_without_names_decodes_whole():
+    record = {"a": 1, "b": [{"c": "x"}]}
+    assert deserialize_fields(serialize(record), None) == record
+
+
 def test_skip_at_unknown_tag_is_an_error():
     with pytest.raises(ValueError):
         skip_at(bytes([250]), 0)
